@@ -204,7 +204,7 @@ let join_fixture n =
   done;
   let funcs = Fm.create ~catalog in
   let scope = Fm.enter_scope funcs in
-  { Eval.catalog; funcs; scope }
+  { Eval.catalog; funcs; scope; join_mem = join_mem_budget }
 
 let join_methods =
   [ ("nested_loop", Join_cost.Nested_loop);
@@ -222,17 +222,12 @@ let join_section () =
   let plan method_ =
     Jplan.Join { left = bind "BenchL" "l"; right = bind "BenchR" "r"; method_; pred }
   in
-  let saved = !Join_cost.join_mem_bytes in
-  Join_cost.join_mem_bytes := join_mem_budget;
-  Fun.protect
-    ~finally:(fun () -> Join_cost.join_mem_bytes := saved)
-    (fun () ->
-      List.map
-        (fun (name, m) ->
-          let t0 = Unix.gettimeofday () in
-          let rows = List.length (Executor.run env (plan m)).Executor.rows in
-          (name, Unix.gettimeofday () -. t0, rows))
-        join_methods)
+  List.map
+    (fun (name, m) ->
+      let t0 = Unix.gettimeofday () in
+      let rows = List.length (Executor.run env (plan m)).Executor.rows in
+      (name, Unix.gettimeofday () -. t0, rows))
+    join_methods
 
 let join_speedup timings ~slow ~fast =
   match (List.find_opt (fun (n, _, _) -> n = slow) timings,
@@ -284,7 +279,11 @@ let scan_fixture n =
   | None -> failwith "ScanBench has no PAX segment");
   let funcs = Fm.create ~catalog in
   let scope = Fm.enter_scope funcs in
-  { Eval.catalog; funcs; scope }
+  { Eval.catalog;
+    funcs;
+    scope;
+    join_mem = Mood_cost.Io_cost.default_params.Mood_cost.Io_cost.join_mem_bytes
+  }
 
 (* [(name, seconds, matching rows)] for the three engines. *)
 let scan_section () =

@@ -522,11 +522,16 @@ let refs_of_value v =
   | Value.Char _ | Value.Bool _ | Value.Tuple _ ->
       []
 
-let maintain_indexes_on t ~add class_name oid value =
+(* Adds or removes the postings [value] carries, except those the
+   [keep] value carries too: an update must not duplicate a posting
+   the old value already holds, and a deferred removal must not drop
+   one the object's current value still needs. *)
+let maintain_indexes_on t ~add ?keep class_name oid value =
+  let kept attr = Option.bind keep (fun k -> Value.tuple_get k attr) in
   List.iter
     (fun (attr, ix) ->
       match Value.tuple_get value attr with
-      | Some v when v <> Value.Null ->
+      | Some v when v <> Value.Null && kept attr <> Some v ->
           if add then index_insert ix v oid else index_delete ix v oid
       | Some _ | None -> ())
     (covering_indexes t class_name);
@@ -534,9 +539,11 @@ let maintain_indexes_on t ~add class_name oid value =
     (fun (attr, jx) ->
       match Value.tuple_get value attr with
       | Some v ->
+          let keep_refs = Option.fold ~none:[] ~some:refs_of_value (kept attr) in
           List.iter
             (fun target ->
-              if add then Join_index.Binary.add jx ~c:oid ~d:target
+              if List.exists (Oid.equal target) keep_refs then ()
+              else if add then Join_index.Binary.add jx ~c:oid ~d:target
               else ignore (Join_index.Binary.remove jx ~c:oid ~d:target))
             (refs_of_value v)
       | None -> ())
@@ -548,10 +555,13 @@ let maintain_indexes_on t ~add class_name oid value =
    value, filtering the resulting false positives). The removal runs
    once every snapshot that could need the old posting has closed —
    immediately when none is open — and is dropped if the writing
-   transaction aborts. *)
+   transaction aborts. It drops only the postings the object's value at
+   that moment no longer carries: an update that kept (or restored) an
+   indexed key re-uses the old posting. *)
 let remove_index_entries t ?txn class_name oid value =
   Version_store.defer_removal (Store.versions t.st) ?txn (fun () ->
-      maintain_indexes_on t ~add:false class_name oid value)
+      let keep = Extent.raw_get (own_extent t class_name) (Oid.slot oid) in
+      maintain_indexes_on t ~add:false ?keep class_name oid value)
 
 let insert_object t ?txn ~class_name value =
   let e = entry t class_name in
@@ -587,7 +597,7 @@ let update_object t ?txn oid value =
               let ok = Extent.update ext ?txn ~slot:(Oid.slot oid) normalized in
               if ok then begin
                 remove_index_entries t ?txn e.name oid old;
-                maintain_indexes_on t ~add:true e.name oid normalized
+                maintain_indexes_on t ~add:true ~keep:old e.name oid normalized
               end;
               ok
         end

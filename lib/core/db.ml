@@ -93,6 +93,8 @@ type t = {
   mutable active_txns : int list;
   mutable last_checkpoint : (snapshot * Wal.lsn) option;
   mutable stats_epoch : int;
+  mutable params : Io_cost.params;
+      (* cost parameters, including this database's SET knobs *)
   plans : cached_plan Plan_cache.t;
   metrics : Metrics.t;
   counters : db_counters;
@@ -156,6 +158,7 @@ let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
       active_txns = [];
       last_checkpoint = None;
       stats_epoch = 0;
+      params = Io_cost.default_params;
       plans = Plan_cache.create ~capacity:plan_cache_capacity;
       metrics;
       counters;
@@ -218,7 +221,7 @@ let create ?disk_params ?buffer_capacity ?(plan_cache_capacity = 64)
   Metrics.register_source metrics (fun () -> Version_store.metrics (Store.versions st));
   Metrics.register_source metrics (fun () ->
       Value_join.metrics ()
-      @ [ ("join.mem_bytes", !Join_cost.join_mem_bytes);
+      @ [ ("join.mem_bytes", t.params.Io_cost.join_mem_bytes);
           ("join.live_temp_files", Store.live_temp_files st)
         ]);
   Metrics.register_source metrics (fun () -> Scan_metrics.metrics ());
@@ -272,10 +275,14 @@ let set_stats t stats =
   t.stats_epoch <- t.stats_epoch + 1;
   purge_stale_plans t
 
-let optimizer_env t =
-  { Dicts.catalog = t.cat; stats = t.statistics; params = Io_cost.default_params }
+let optimizer_env t = { Dicts.catalog = t.cat; stats = t.statistics; params = t.params }
 
-let executor_env t = { Eval.catalog = t.cat; funcs = t.funcs; scope = t.session_scope }
+let executor_env t =
+  { Eval.catalog = t.cat;
+    funcs = t.funcs;
+    scope = t.session_scope;
+    join_mem = t.params.Io_cost.join_mem_bytes
+  }
 
 let io_elapsed t = Store.io_elapsed t.st
 
@@ -361,12 +368,12 @@ let optimize t source =
   let q = Parser.parse_query source in
   Optimizer.optimize (optimizer_env t) q
 
+(* Every statement but SELECT, which the pipeline's read stage runs
+   from a compiled plan. *)
 let exec_statement t ?txn stmt =
   Typecheck.check_statement ~catalog:t.cat stmt;
   match stmt with
-  | Ast.Select q ->
-      let optimized = Optimizer.optimize (optimizer_env t) q in
-      Rows (Executor.run (executor_env t) optimized.Optimizer.plan)
+  | Ast.Select _ -> invalid_arg "exec_statement: SELECT runs through the read stage"
   | Ast.Create_class { cc_name; cc_supers; cc_attrs; cc_methods; cc_layout } ->
       exec_create_class t ~cc_name ~cc_supers ~cc_attrs ~cc_methods ~cc_layout
   | Ast.Alter_class_layout { al_class; al_layout } ->
@@ -402,12 +409,10 @@ let exec_statement t ?txn stmt =
       ignore (Catalog.drop_name t.cat name);
       Name_dropped name
 
-(* Statement-granularity two-phase locking: a SELECT shares the extents
-   it ranges over, DML takes them exclusively; everything is released
-   when the statement finishes. Single-session use never conflicts with
-   itself — conflicts surface against administrative locks (or the
-   Function Manager's shared-object rebuilds, which use the same lock
-   manager). *)
+(* The extent locks a statement needs: a SELECT shares the extents it
+   ranges over, DML takes them exclusively. Conflicts surface against
+   other transactions, administrative locks, or the Function Manager's
+   shared-object rebuilds (which use the same lock manager). *)
 let statement_locks t stmt =
   let deep cls = cls :: Catalog.descendants t.cat cls in
   match stmt with
@@ -428,54 +433,11 @@ let statement_locks t stmt =
   | Ast.Drop_name _ ->
       []
 
-(* MVCC read path: capture the commit clock, run the statement under
-   the ambient view (every extent access resolves through version
-   visibility), then release the snapshot so GC can advance. Zero
-   lock-manager traffic. *)
 let versions t = Store.versions t.st
 
 let set_snapshot_reads t on = t.snapshot_reads <- on
 
 let snapshot_reads_enabled t = t.snapshot_reads
-
-let with_snapshot t ?txn run =
-  let vs = versions t in
-  let view = Version_store.open_snapshot vs ?txn () in
-  Fun.protect
-    ~finally:(fun () ->
-      Version_store.close_snapshot vs view;
-      Version_store.drain_removals vs)
-    (fun () ->
-      Version_store.note_read vs;
-      Version_store.with_view vs view run)
-
-let with_statement_locks t stmt run =
-  let locks = Store.locks t.st in
-  let wanted = statement_locks t stmt in
-  if wanted = [] then run ()
-  else begin
-    let txn = Lock.begin_txn locks in
-    let release () = Lock.release_all locks txn in
-    let granted =
-      List.for_all
-        (fun (cls, mode) ->
-          match Lock.acquire locks txn ("extent:" ^ cls) mode with
-          | Lock.Granted -> true
-          | Lock.Would_block | Lock.Deadlock -> false)
-        wanted
-    in
-    if not granted then begin
-      release ();
-      failwith "extent is locked by another transaction"
-    end;
-    match run () with
-    | result ->
-        release ();
-        result
-    | exception e ->
-        release ();
-        raise e
-  end
 
 (* ------------------------------------------------------------------ *)
 (* The compile-once hot path                                           *)
@@ -490,14 +452,7 @@ let build_plan t q =
     cp_prepared = Executor.prepare optimized.Optimizer.plan
   }
 
-(* Standalone SELECTs: a snapshot when MVCC reads are on, shared
-   statement locks in baseline mode. *)
-let with_read_path t stmt run =
-  if t.snapshot_reads then with_snapshot t run else with_statement_locks t stmt run
-
-let run_cached t entry =
-  with_read_path t (Ast.Select entry.cp_query) (fun () ->
-      Rows (Executor.run_prepared (executor_env t) entry.cp_prepared))
+let run_plan t entry = Rows (Executor.run_prepared (executor_env t) entry.cp_prepared)
 
 (* Only SELECT texts are worth a cache probe; everything else would
    just pollute the miss counters (and DDL must not be cached anyway).
@@ -529,12 +484,6 @@ let error_of_exn = function
   | Mood_model.Operand.Type_error m -> Some ("run-time type error: " ^ m)
   | Failure m -> Some m
   | _ -> None
-
-let protect f =
-  match f () with
-  | result -> Ok result
-  | exception e -> (
-      match error_of_exn e with Some m -> Error m | None -> raise e)
 
 let explain t source =
   let optimized = optimize t source in
@@ -568,7 +517,17 @@ let explain t source =
    the optimizer output with the per-operator reports and run totals.
    Deliberately outside the plan cache: a traced plan carries skeleton
    estimates computed against the statistics of the moment, which is
-   the point of the exercise. Callers hold the statement locks. *)
+   the point of the exercise. Runs inside the pipeline's read stage. *)
+type analysis = {
+  a_optimized : Optimizer.optimized;
+  a_result : Executor.result;
+  a_reports : Executor.op_report list;
+  a_wall : float;
+  a_io : float;
+  a_batches : int;  (* vectorized batches and the rows they scanned *)
+  a_vrows : int;
+}
+
 let analyzed_core t q =
   Typecheck.check_statement ~catalog:t.cat (Ast.Select q);
   let env = optimizer_env t in
@@ -585,36 +544,29 @@ let analyzed_core t q =
       (executor_env t) prepared
   in
   let wall = Unix.gettimeofday () -. t0 in
-  let io = Store.io_elapsed t.st -. io0 in
-  let batches = Scan_metrics.m.Scan_metrics.batches - b0
-  and vrows = Scan_metrics.m.Scan_metrics.rows_scanned - rs0 in
-  Metrics.incr t.counters.c_explain_analyze;
-  (optimized, result, reports, wall, io, (batches, vrows))
+  { a_optimized = optimized;
+    a_result = result;
+    a_reports = reports;
+    a_wall = wall;
+    a_io = Store.io_elapsed t.st -. io0;
+    a_batches = Scan_metrics.m.Scan_metrics.batches - b0;
+    a_vrows = Scan_metrics.m.Scan_metrics.rows_scanned - rs0
+  }
 
-let render_analyzed (optimized, result, reports, wall, io, (batches, vrows)) =
+let render_analyzed a =
   let rows =
-    match result.Executor.projected with
+    match a.a_result.Executor.projected with
     | Some vs -> List.length vs
-    | None -> List.length result.Executor.rows
+    | None -> List.length a.a_result.Executor.rows
   in
   let vec =
-    if batches = 0 then ""
-    else Printf.sprintf "vectorized: %d batches, %d rows\n" batches vrows
+    if a.a_batches = 0 then ""
+    else Printf.sprintf "vectorized: %d batches, %d rows\n" a.a_batches a.a_vrows
   in
   Printf.sprintf
     "%s\n\nactual rows: %d, wall time: %.3f ms, modeled I/O: %.6f s, estimated cost: %.3f s\n%s"
-    (Executor.render_reports reports)
-    rows (wall *. 1000.) io optimized.Optimizer.trace.Optimizer.t_est_cost vec
-
-let analyze_query t source =
-  let q = Parser.parse_query source in
-  with_statement_locks t (Ast.Select q) (fun () ->
-      let _, result, reports, _, _, _ = analyzed_core t q in
-      (result, reports))
-
-let explain_analyze t source =
-  let q = Parser.parse_query source in
-  with_statement_locks t (Ast.Select q) (fun () -> render_analyzed (analyzed_core t q))
+    (Executor.render_reports a.a_reports)
+    rows (a.a_wall *. 1000.) a.a_io a.a_optimized.Optimizer.trace.Optimizer.t_est_cost vec
 
 (* ------------------------------------------------------------------ *)
 (* Statement entry points                                               *)
@@ -630,15 +582,22 @@ let strip_keyword_ci kw s =
   then Some (String.sub s (lk + 1) (String.length s - lk - 1))
   else None
 
-(* [SET JOIN_FORCE <method|DEFAULT>] / [SET JOIN_MEM <bytes>]: the
-   value-join knobs the differential oracle and the smoke tests drive.
-   Both invalidate cached plans (the choice is part of planning) by
-   bumping the statistics epoch. Returns the acknowledgment text, or
-   [None] when the statement is not a knob. *)
+(* [SET JOIN_FORCE <method|DEFAULT>] / [SET SCAN_FORCE <ROW|VECTOR|
+   DEFAULT>] / [SET JOIN_MEM <bytes>]: this database's plan knobs,
+   which the differential oracles and the smoke tests drive. Each
+   invalidates cached plans (the choice is part of planning) by bumping
+   the statistics epoch. Returns the acknowledgment text, or [None]
+   when the statement is not a knob. *)
 let set_knob t key =
   let clean s =
     let s = match String.index_opt s ';' with Some i -> String.sub s 0 i | None -> s in
     String.trim s
+  in
+  let is_default m = String.uppercase_ascii m = "DEFAULT" in
+  let set params ack =
+    t.params <- params;
+    t.stats_epoch <- t.stats_epoch + 1;
+    Some ack
   in
   match strip_keyword_ci "SET" key with
   | None -> None
@@ -646,33 +605,23 @@ let set_knob t key =
       match strip_keyword_ci "JOIN_FORCE" rest with
       | Some m -> (
           let m = clean m in
-          if String.uppercase_ascii m = "DEFAULT" then begin
-            Join_cost.forced_method := None;
-            t.stats_epoch <- t.stats_epoch + 1;
-            Some "JOIN_FORCE=DEFAULT"
-          end
+          if is_default m then set { t.params with join_force = None } "JOIN_FORCE=DEFAULT"
           else
             match Join_cost.method_of_string m with
             | Some mc ->
-                Join_cost.forced_method := Some mc;
-                t.stats_epoch <- t.stats_epoch + 1;
-                Some (Format.asprintf "JOIN_FORCE=%a" Join_cost.pp_method mc)
+                set { t.params with join_force = Some mc }
+                  (Format.asprintf "JOIN_FORCE=%a" Join_cost.pp_method mc)
             | None -> failwith ("unknown join method: " ^ m))
       | None -> (
           match strip_keyword_ci "SCAN_FORCE" rest with
           | Some m -> (
               let m = clean m in
-              if String.uppercase_ascii m = "DEFAULT" then begin
-                Scan_cost.forced := None;
-                t.stats_epoch <- t.stats_epoch + 1;
-                Some "SCAN_FORCE=DEFAULT"
-              end
+              if is_default m then set { t.params with scan_force = None } "SCAN_FORCE=DEFAULT"
               else
                 match Scan_cost.choice_of_string m with
                 | Some c ->
-                    Scan_cost.forced := Some c;
-                    t.stats_epoch <- t.stats_epoch + 1;
-                    Some (Format.asprintf "SCAN_FORCE=%a" Scan_cost.pp_choice c)
+                    set { t.params with scan_force = Some c }
+                      (Format.asprintf "SCAN_FORCE=%a" Scan_cost.pp_choice c)
                 | None -> failwith ("unknown scan choice: " ^ m))
           | None -> (
               match strip_keyword_ci "JOIN_MEM" rest with
@@ -680,9 +629,8 @@ let set_knob t key =
               | Some n -> (
                   match int_of_string_opt (clean n) with
                   | Some bytes when bytes > 0 ->
-                      Join_cost.join_mem_bytes := bytes;
-                      t.stats_epoch <- t.stats_epoch + 1;
-                      Some (Printf.sprintf "JOIN_MEM=%d" bytes)
+                      set { t.params with join_mem_bytes = bytes }
+                        (Printf.sprintf "JOIN_MEM=%d" bytes)
                   | Some _ | None ->
                       failwith
                         ("JOIN_MEM expects a positive byte count, got: " ^ clean n)))))
@@ -691,31 +639,6 @@ let rec take n = function
   | [] -> []
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
-
-(* Statement timing exists only while the slow-query log is armed; with
-   no threshold set the hot path never reads the clock. *)
-let timed_slow t ~key f =
-  match t.slow_threshold with
-  | None -> f ()
-  | Some threshold ->
-      let io0 = Store.io_elapsed t.st in
-      let t0 = Unix.gettimeofday () in
-      let result = f () in
-      let wall = Unix.gettimeofday () -. t0 in
-      Metrics.observe t.counters.h_latency wall;
-      (match result with
-      | Rows r when wall >= threshold ->
-          let entry =
-            { sq_key = key;
-              sq_epoch = plan_epoch t;
-              sq_wall = wall;
-              sq_io = Store.io_elapsed t.st -. io0;
-              sq_rows = List.length r.Executor.rows
-            }
-          in
-          t.slow_log <- take slow_log_capacity (entry :: t.slow_log)
-      | _ -> ());
-      result
 
 let count_ok t = function
   | Rows _ -> Metrics.incr t.counters.c_select
@@ -740,53 +663,205 @@ let notify_ddl t source r =
   if is_ddl_result r then
     match t.on_ddl with Some hook -> hook source | None -> ()
 
-let exec ?(cache = true) t source =
-  purge_stale_plans t;
-  let result =
-    protect (fun () ->
-        let key = Plan_cache.normalize source in
-        match set_knob t key with
-        | Some ack -> Explained ack
-        | None ->
-        match strip_keyword_ci "EXPLAIN" key with
-        | Some rest -> begin
-            match strip_keyword_ci "ANALYZE" rest with
-            | Some body -> Explained (explain_analyze t body)
-            | None -> Explained (explain t rest)
-          end
-        | None ->
-            let cache = cache && looks_like_select key in
-            timed_slow t ~key (fun () ->
-                let hit =
-                  if cache then Plan_cache.find t.plans ~epoch:(plan_epoch t) key
-                  else None
-                in
-                match hit with
-                | Some entry -> run_cached t entry
-                | None -> begin
-                    let stmt = Parser.parse source in
-                    match stmt with
-                    | Ast.Select q when cache ->
-                        let entry = build_plan t q in
-                        Plan_cache.add t.plans ~epoch:(plan_epoch t) key entry;
-                        run_cached t entry
-                    | Ast.Select _ ->
-                        with_read_path t stmt (fun () -> exec_statement t stmt)
-                    | _ ->
-                        (match t.role with
-                        | Primary -> ()
-                        | Replica addr | Fenced addr ->
-                            failwith
-                              ("NOT_PRIMARY: this node is read-only; retry at " ^ addr));
-                        with_statement_locks t stmt (fun () -> exec_statement t stmt)
-                  end))
+(* ------------------------------------------------------------------ *)
+(* The statement pipeline                                               *)
+
+type txn_error =
+  | Txn_busy
+  | Txn_deadlock
+  | Txn_fail of string
+  | Txn_redirect of string
+
+(* Where a statement runs. [Statement] is autocommit: a read gets its
+   own snapshot (statement locks when snapshot reads are off), a write
+   takes statement locks released at its end and is not WAL-logged.
+   [Session s] runs inside a session transaction: a read uses the BEGIN
+   view (or the session's locks), a write is logged under [s], and
+   every lock is held to commit/abort. *)
+type scope = Statement | Session of session_txn
+
+(* What the run stage produced. EXPLAIN ANALYZE keeps its raw analysis
+   so [analyze_query] can hand it back structured. *)
+type outcome = Done of exec_result | Analyzed of analysis
+
+(* Read-only routing: on a replica (or a fenced ex-primary) everything
+   that mutates data or schema is refused with the primary's address —
+   a retryable routing outcome, not a statement error. [NAME ... AS
+   SELECT] reads to find its object but writes the name table, so it
+   counts as a write. *)
+let check_writable t stmt =
+  match stmt with
+  | Ast.Select _ -> Ok ()
+  | _ -> (
+      match t.role with
+      | Primary -> Ok ()
+      | Replica addr | Fenced addr -> Error (Txn_redirect addr))
+
+(* Two-phase locking on extents. [Statement] takes a fresh lock
+   transaction released when the statement ends; [Session] grows the
+   session's lock transaction (strict 2PL). A conflict reports
+   [Txn_busy] and leaves the locks granted so far in place — that is
+   what makes a cross-session deadlock detectable; the caller retries
+   the statement without rolling back. A waits-for cycle reports
+   [Txn_deadlock], and the caller must [abort_session_txn]. *)
+let with_locks t scope stmt run =
+  let locks = Store.locks t.st in
+  let rec acquire txn = function
+    | [] -> Ok ()
+    | (cls, mode) :: rest -> (
+        match Lock.acquire locks txn ("extent:" ^ cls) mode with
+        | Lock.Granted -> acquire txn rest
+        | Lock.Would_block -> Error Txn_busy
+        | Lock.Deadlock -> Error Txn_deadlock)
   in
-  (match result with
-  | Ok r ->
+  match (scope, statement_locks t stmt) with
+  | _, [] -> Ok (run ())
+  | Session s, wanted -> Result.map run (acquire s.stxn_lock wanted)
+  | Statement, wanted ->
+      let txn = Lock.begin_txn locks in
+      Fun.protect
+        ~finally:(fun () -> Lock.release_all locks txn)
+        (fun () -> Result.map run (acquire txn wanted))
+
+(* The read stage, shared by SELECT and EXPLAIN ANALYZE: run under an
+   MVCC view (every extent access resolves through version visibility)
+   with zero lock traffic — under [Statement] a snapshot of the commit
+   clock, released afterwards so GC can advance; under [Session] the
+   BEGIN view, which makes reads repeatable and keeps them from ever
+   returning [Txn_busy] — or take shared locks when snapshot reads are
+   off. *)
+let read_stage t scope q run =
+  let vs = versions t in
+  let read view =
+    Version_store.note_read vs;
+    Version_store.with_view vs view run
+  in
+  match scope with
+  | Session { stxn_view = Some view; _ } -> Ok (read view)
+  | Statement when t.snapshot_reads ->
+      let view = Version_store.open_snapshot vs () in
+      Fun.protect
+        ~finally:(fun () ->
+          Version_store.close_snapshot vs view;
+          Version_store.drain_removals vs)
+        (fun () -> Ok (read view))
+  | Statement | Session _ -> with_locks t scope (Ast.Select q) run
+
+let write_stage t scope stmt =
+  let txn = match scope with Statement -> None | Session s -> Some s.stxn_id in
+  with_locks t scope stmt (fun () -> Done (exec_statement t ?txn stmt))
+
+(* Statement timing exists only while the slow-query log is armed; with
+   no threshold set the hot path never reads the clock. *)
+let timed t ~key f =
+  match t.slow_threshold with
+  | None -> f ()
+  | Some threshold ->
+      let io0 = Store.io_elapsed t.st in
+      let t0 = Unix.gettimeofday () in
+      let result = f () in
+      let wall = Unix.gettimeofday () -. t0 in
+      Metrics.observe t.counters.h_latency wall;
+      (match result with
+      | Ok (Done (Rows r)) when wall >= threshold ->
+          let entry =
+            { sq_key = key;
+              sq_epoch = plan_epoch t;
+              sq_wall = wall;
+              sq_io = Store.io_elapsed t.st -. io0;
+              sq_rows = List.length r.Executor.rows
+            }
+          in
+          t.slow_log <- take slow_log_capacity (entry :: t.slow_log)
+      | _ -> ());
+      result
+
+let account t scope source = function
+  | Ok (Done r) ->
       count_ok t r;
       notify_ddl t source r
-  | Error _ -> Metrics.incr t.counters.c_error);
+  | Ok (Analyzed _) -> Metrics.incr t.counters.c_explain_analyze
+  | Error (Txn_fail _) -> Metrics.incr t.counters.c_error
+  | Error (Txn_busy | Txn_deadlock | Txn_redirect _) -> (
+      (* In a session these are retried or rerouted, not failed: they
+         show up as [locks.waits]/[locks.deadlocks] and redirects. An
+         autocommit caller gets them as errors. *)
+      match scope with Statement -> Metrics.incr t.counters.c_error | Session _ -> ())
+
+(* The one way in: knob → EXPLAIN → plan-cache probe → parse → writable
+   check → read or write stage → run, all timed and accounted. The
+   kernel's Exception-class behaviour holds throughout: failures become
+   [Txn_fail] messages, unknown exceptions (bugs) keep propagating. *)
+let pipeline t scope ~cache source =
+  purge_stale_plans t;
+  let key = Plan_cache.normalize source in
+  let stages () =
+    match set_knob t key with
+    | Some ack -> Ok (Done (Explained ack))
+    | None -> (
+        match strip_keyword_ci "EXPLAIN" key with
+        | Some rest -> (
+            match strip_keyword_ci "ANALYZE" rest with
+            | Some body ->
+                let q = Parser.parse_query body in
+                read_stage t scope q (fun () -> Analyzed (analyzed_core t q))
+            | None -> Ok (Done (Explained (explain t rest))))
+        | None -> (
+            let cache = cache && looks_like_select key in
+            let hit = if cache then Plan_cache.find t.plans ~epoch:(plan_epoch t) key else None in
+            match hit with
+            | Some entry -> read_stage t scope entry.cp_query (fun () -> Done (run_plan t entry))
+            | None ->
+                let stmt = Parser.parse source in
+                Result.bind (check_writable t stmt) (fun () ->
+                    match stmt with
+                    | Ast.Select q ->
+                        let entry = build_plan t q in
+                        if cache then Plan_cache.add t.plans ~epoch:(plan_epoch t) key entry;
+                        read_stage t scope q (fun () -> Done (run_plan t entry))
+                    | _ -> write_stage t scope stmt)))
+  in
+  let result =
+    timed t ~key (fun () ->
+        match stages () with
+        | r -> r
+        | exception e -> (
+            match error_of_exn e with Some m -> Error (Txn_fail m) | None -> raise e))
+  in
+  account t scope source result;
   result
+
+let result_of_outcome = function
+  | Done r -> r
+  | Analyzed a -> Explained (render_analyzed a)
+
+let error_text = function
+  | Txn_fail m -> m
+  | Txn_busy | Txn_deadlock -> "extent is locked by another transaction"
+  | Txn_redirect addr -> "NOT_PRIMARY: this node is read-only; retry at " ^ addr
+
+let exec ?(cache = true) t source =
+  match pipeline t Statement ~cache source with
+  | Ok o -> Ok (result_of_outcome o)
+  | Error e -> Error (error_text e)
+
+let exec_in_txn t s source =
+  if not s.stxn_open then Error (Txn_fail "transaction is not open")
+  else if s.stxn_prepared <> None then
+    Error (Txn_fail "transaction is prepared: awaiting coordinator decision")
+  else Result.map result_of_outcome (pipeline t (Session s) ~cache:true source)
+
+let analysis t source =
+  match pipeline t Statement ~cache:false ("EXPLAIN ANALYZE " ^ source) with
+  | Ok (Analyzed a) -> a
+  | Ok (Done _) -> failwith "EXPLAIN ANALYZE expects a SELECT statement"
+  | Error e -> failwith (error_text e)
+
+let analyze_query t source =
+  let a = analysis t source in
+  (a.a_result, a.a_reports)
+
+let explain_analyze t source = render_analyzed (analysis t source)
 
 let query ?cache t source =
   match exec ?cache t source with
@@ -1008,25 +1083,6 @@ let compensate t txn =
    (The [session_txn] type itself is declared above [t] so the db can
    carry the 2PC prepared-transaction registry.) *)
 
-type txn_error =
-  | Txn_busy
-  | Txn_deadlock
-  | Txn_fail of string
-  | Txn_redirect of string
-
-(* Read-only routing: on a replica (or a fenced ex-primary) everything
-   that mutates data or schema is refused with the primary's address —
-   a retryable routing outcome, not a statement error. [NAME ... AS
-   SELECT] reads to find its object but writes the name table, so it
-   counts as a write. *)
-let check_writable t stmt =
-  match stmt with
-  | Ast.Select _ -> Ok ()
-  | _ -> (
-      match t.role with
-      | Primary -> Ok ()
-      | Replica addr | Fenced addr -> Error (Txn_redirect addr))
-
 let begin_session_txn t =
   let txn = t.next_txn in
   t.next_txn <- txn + 1;
@@ -1042,8 +1098,6 @@ let begin_session_txn t =
     stxn_view = view;
     stxn_prepared = None
   }
-
-let session_txn_id s = s.stxn_id
 
 let session_txn_open s = s.stxn_open
 
@@ -1141,130 +1195,6 @@ let decide_txn t ~gid ~commit =
       end
 
 let indoubt_txns t = List.map (fun (gid, s) -> (gid, s.stxn_id)) t.prepared
-
-(* Strict 2PL growth: statement locks go to the session's lock
-   transaction and stay held until commit/abort. A conflict leaves the
-   locks granted so far in place (incremental acquisition — that is
-   what makes a cross-session deadlock detectable) and reports
-   [Txn_busy]; the caller retries the statement without rolling back.
-   A waits-for cycle makes this transaction the victim: [Txn_deadlock],
-   and the caller must [abort_session_txn]. *)
-let acquire_txn_locks t s stmt =
-  let locks = Store.locks t.st in
-  let rec go = function
-    | [] -> Ok ()
-    | (cls, mode) :: rest -> (
-        match Lock.acquire locks s.stxn_lock ("extent:" ^ cls) mode with
-        | Lock.Granted -> go rest
-        | Lock.Would_block -> Error Txn_busy
-        | Lock.Deadlock -> Error Txn_deadlock)
-  in
-  go (statement_locks t stmt)
-
-let exec_in_txn ?(cache = true) t s source =
-  if not s.stxn_open then Error (Txn_fail "transaction is not open")
-  else if s.stxn_prepared <> None then
-    Error (Txn_fail "transaction is prepared: awaiting coordinator decision")
-  else begin
-    purge_stale_plans t;
-    let protect_txn f =
-      match protect f with Ok r -> Ok r | Error m -> Error (Txn_fail m)
-    in
-    let key = Plan_cache.normalize source in
-    let result =
-      match protect (fun () -> set_knob t key) with
-      | Error m -> Error (Txn_fail m)
-      | Ok (Some ack) -> Ok (Explained ack)
-      | Ok None ->
-      match strip_keyword_ci "EXPLAIN" key with
-      | Some rest -> begin
-          match strip_keyword_ci "ANALYZE" rest with
-          | None ->
-              (* Planning only — touches no extents, needs no locks. *)
-              protect_txn (fun () -> Explained (explain t rest))
-          | Some body -> (
-              match protect (fun () -> Parser.parse_query body) with
-              | Error m -> Error (Txn_fail m)
-              | Ok q -> (
-                  (* Executes like the underlying SELECT, so it locks
-                     like one — through the session's lock transaction,
-                     not a fresh statement txn, or it would conflict
-                     with this transaction's own exclusive locks. *)
-                  match acquire_txn_locks t s (Ast.Select q) with
-                  | Error _ as e -> e
-                  | Ok () ->
-                      protect_txn (fun () ->
-                          Explained (render_analyzed (analyzed_core t q)))))
-        end
-      | None -> (
-          let cache = cache && looks_like_select key in
-          let hit =
-            if cache then Plan_cache.find t.plans ~epoch:(plan_epoch t) key else None
-          in
-          (* In-transaction SELECTs read the BEGIN snapshot when one was
-             captured: no lock acquisition, so a read can never return
-             [Txn_busy] (reads bypass the server's parking entirely) and
-             results are repeatable for the transaction's lifetime. *)
-          let run_select run =
-            match s.stxn_view with
-            | Some view ->
-                let vs = versions t in
-                Version_store.note_read vs;
-                protect_txn (fun () -> Version_store.with_view vs view run)
-            | None -> protect_txn run
-          in
-          match hit with
-          | Some entry -> (
-              match
-                if s.stxn_view <> None then Ok ()
-                else acquire_txn_locks t s (Ast.Select entry.cp_query)
-              with
-              | Error _ as e -> e
-              | Ok () ->
-                  run_select (fun () ->
-                      timed_slow t ~key (fun () ->
-                          Rows (Executor.run_prepared (executor_env t) entry.cp_prepared))))
-          | None -> (
-              match protect (fun () -> Parser.parse source) with
-              | Error m -> Error (Txn_fail m)
-              | Ok stmt -> (
-                  let snapshot_select =
-                    match stmt with Ast.Select _ -> s.stxn_view <> None | _ -> false
-                  in
-                  match
-                    match check_writable t stmt with
-                    | Error _ as e -> e
-                    | Ok () ->
-                        if snapshot_select then Ok () else acquire_txn_locks t s stmt
-                  with
-                  | Error _ as e -> e
-                  | Ok () -> (
-                      match stmt with
-                      | Ast.Select q when cache ->
-                          run_select (fun () ->
-                              timed_slow t ~key (fun () ->
-                                  let entry = build_plan t q in
-                                  Plan_cache.add t.plans ~epoch:(plan_epoch t) key entry;
-                                  Rows (Executor.run_prepared (executor_env t) entry.cp_prepared)))
-                      | Ast.Select _ ->
-                          run_select (fun () -> exec_statement t ~txn:s.stxn_id stmt)
-                      | _ ->
-                          protect_txn (fun () -> exec_statement t ~txn:s.stxn_id stmt)))))
-    in
-    (match result with
-    | Ok r ->
-        count_ok t r;
-        notify_ddl t source r
-    | Error (Txn_fail _) -> Metrics.incr t.counters.c_error
-    | Error (Txn_busy | Txn_deadlock) ->
-        (* Lock conflicts are retried, not failed: they show up as
-           [locks.waits]/[locks.deadlocks], not statement errors. *)
-        ()
-    | Error (Txn_redirect _) ->
-        (* Routing, not failure: the client retries at the primary. *)
-        ());
-    result
-  end
 
 let transaction t f =
   let s = begin_session_txn t in

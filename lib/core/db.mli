@@ -82,10 +82,18 @@ val gc_versions : t -> unit
     every [checkpoint] and opportunistically as versions accumulate). *)
 
 val exec : ?cache:bool -> t -> string -> (exec_result, string) result
-(** Parses, checks, optimizes and executes one MOODSQL statement.
-    Returns [Error message] for parse/type/schema/run-time errors
-    (the kernel's Exception class behaviour: failures are reported, the
-    server survives).
+(** Parses, checks, optimizes and executes one MOODSQL statement in
+    the {e statement} (autocommit) scope of the statement pipeline:
+    knob → EXPLAIN → plan-cache probe → parse → writable check → read
+    or write stage → run → account. A read (SELECT, EXPLAIN ANALYZE)
+    runs on its own MVCC snapshot, or under shared statement locks
+    when snapshot reads are off; a write takes exclusive statement
+    locks released when it ends and is not WAL-logged. Returns [Error
+    message] for parse/type/schema/run-time errors (the kernel's
+    Exception class behaviour: failures are reported, the server
+    survives), ["extent is locked by another transaction"] on a lock
+    conflict, and ["NOT_PRIMARY: ... retry at <addr>"] for a write on
+    a replica.
 
     SELECT statements go through the {e compile-once hot path}: the
     parsed, typechecked, optimized and closure-compiled plan is cached
@@ -119,13 +127,16 @@ val explain_analyze : t -> string -> string
     ([Mood_optimizer.Card_est]), executes it with per-operator tracing,
     and renders the est-vs-actual operator tree (rows, loops, wall
     time, page-level I/O and buffer charges per node) followed by run
-    totals. [exec] reaches this via [EXPLAIN ANALYZE SELECT ...].
-    Always plans fresh — never served from the plan cache. *)
+    totals. The same as [exec] on [EXPLAIN ANALYZE SELECT ...]: the
+    statement scope, reading through the same snapshot or shared locks
+    as the SELECT would. Always plans fresh — never served from the
+    plan cache. Raises [Failure] with [exec]'s error text. *)
 
 val analyze_query :
   t -> string -> Mood_executor.Executor.result * Mood_executor.Executor.op_report list
-(** The structured form of [explain_analyze]: the query result plus the
-    raw per-operator reports, for programmatic assertions. *)
+(** The structured form of [explain_analyze], in the same scope: the
+    query result plus the raw per-operator reports, for programmatic
+    assertions. *)
 
 val optimize : t -> string -> Mood_optimizer.Optimizer.optimized
 (** The raw optimizer result for a SELECT source text. *)
@@ -204,17 +215,18 @@ val begin_session_txn : t -> session_txn
 (** Appends [Begin] to the WAL, registers the transaction as active
     (checkpoints record it) and opens a lock-manager transaction. *)
 
-val session_txn_id : session_txn -> int
-
 val session_txn_open : session_txn -> bool
 
-val exec_in_txn : ?cache:bool -> t -> session_txn -> string -> (exec_result, txn_error) result
-(** [exec] within a session transaction: SELECTs share the compiled
-    plan cache (prepared-statement reuse across sessions and
-    statements); DML is WAL-logged under the transaction's id so
-    [abort_session_txn] compensates it. Statement locks are acquired on
-    the session's lock transaction and {e not} released when the
-    statement finishes. *)
+val exec_in_txn : t -> session_txn -> string -> (exec_result, txn_error) result
+(** The statement pipeline of [exec] in the {e session} scope. A read
+    (SELECT, EXPLAIN ANALYZE) sees the snapshot taken at BEGIN plus the
+    transaction's own writes, lock-free; with snapshot reads off it
+    takes shared locks on the session's lock transaction instead.
+    SELECTs share the compiled plan cache (prepared-statement reuse
+    across sessions and statements). A write is WAL-logged under the
+    transaction's id so [abort_session_txn] compensates it. Locks are
+    acquired on the session's lock transaction and {e not} released
+    when the statement finishes. *)
 
 val commit_session_txn : t -> session_txn -> unit
 (** Appends [Commit], forces the log, and releases every lock. Raises
@@ -423,8 +435,8 @@ type slow_query = {
 val set_slow_query_threshold : t -> float option -> unit
 (** Arms the slow-query log: SELECTs whose wall time reaches the
     threshold (seconds) are recorded (newest first, bounded at 64
-    entries), and statement latencies feed the [stmt.latency_s]
-    histogram. [None] (the default) disarms — the statement hot path
+    entries), and the latency of every statement — [exec] or
+    [exec_in_txn] — feeds the [stmt.latency_s] histogram. [None] (the default) disarms — the statement hot path
     then never reads the clock. Raises [Invalid_argument] on a negative
     threshold. *)
 

@@ -1,9 +1,37 @@
 module Disk = Mood_storage.Disk
 module Combinat = Mood_util.Combinat
 
-type params = { disk : Disk.params; cpu_cost : float }
+(* The plan-hint types live here, with the knobs that carry them, so
+   one parameter record reaches every cost formula; [Join_cost] and
+   [Scan_cost] re-export them. *)
+type join_method =
+  | Forward_traversal
+  | Backward_traversal
+  | Binary_join_index
+  | Hash_partition
+  | Nested_loop
+  | Hash_join
+  | Grace_hash
+  | Sort_merge
+  | Fusion_join
 
-let default_params = { disk = Disk.default_params; cpu_cost = 5e-3 }
+type scan_method = Row_scan | Vectorized
+
+type params = {
+  disk : Disk.params;
+  cpu_cost : float;
+  join_mem_bytes : int;
+  join_force : join_method option;
+  scan_force : scan_method option;
+}
+
+let default_params =
+  { disk = Disk.default_params;
+    cpu_cost = 5e-3;
+    join_mem_bytes = 262144;
+    join_force = None;
+    scan_force = None
+  }
 
 (* Estimate-side accounting: how often each cost formula is consulted
    and how many estimated seconds it handed out, bucketed per formula.
@@ -40,13 +68,6 @@ let est_charges () =
     ("cost_est.deccost.calls", dec_charge.calls);
     ("cost_est.deccost.sum_us", micros dec_charge.est_s)
   ]
-
-let reset_est_charges () =
-  List.iter
-    (fun b ->
-      b.calls <- 0;
-      b.est_s <- 0.)
-    [ seq_charge; rnd_charge; ind_charge; rngx_charge; mps_charge; dec_charge ]
 
 let seqcost p b =
   if b <= 0 then 0.
@@ -104,8 +125,3 @@ let mpscost p b =
 let deccost p ~bytes =
   if bytes <= 0 then 0.
   else charged dec_charge (float_of_int bytes /. 1024. *. p.cpu_cost)
-
-let pp_params ppf p =
-  Format.fprintf ppf
-    "B=%d btt=%.4fs ebt=%.4fs r=%.4fs s=%.4fs cpu=%.2e s/cmp" p.disk.Disk.block_size
-    p.disk.Disk.btt p.disk.Disk.ebt p.disk.Disk.rot p.disk.Disk.seek p.cpu_cost

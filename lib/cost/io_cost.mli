@@ -4,6 +4,22 @@
     Table 10. [INDCOST] consumes the B+-tree parameters of Table 9 and
     the [c(n,m,r)] color approximation. *)
 
+(** Join techniques; documented where [Join_cost] re-exports them as
+    [Join_cost.method_choice]. *)
+type join_method =
+  | Forward_traversal
+  | Backward_traversal
+  | Binary_join_index
+  | Hash_partition
+  | Nested_loop
+  | Hash_join
+  | Grace_hash
+  | Sort_merge
+  | Fusion_join
+
+(** Scan methods, re-exported as [Scan_cost.choice]. *)
+type scan_method = Row_scan | Vectorized
+
 type params = {
   disk : Mood_storage.Disk.params;
   cpu_cost : float;
@@ -12,7 +28,20 @@ type params = {
           default (5 ms) is calibrated so the optimizer's choices on the
           Section 8 examples match the paper's printed plans — see
           DESIGN.md and the [bench:cpucost-sensitivity] ablation. *)
+  join_mem_bytes : int;
+      (** Memory budget of a value join's build/sort space ([SET
+          JOIN_MEM]; default 256 KiB). Below it hash joins stay in
+          memory; above it Grace partitioning and external-sort runs
+          spill. *)
+  join_force : join_method option;
+      (** [SET JOIN_FORCE] hint: when set, every join uses it
+          regardless of cost. *)
+  scan_force : scan_method option;
+      (** [SET SCAN_FORCE] hint: when set, [Scan_cost.choose] returns
+          it regardless of layout or cost. *)
 }
+(** The cost-parameter record. Its knobs belong to one database: the
+    database keeps its own copy and hands it to the optimizer. *)
 
 val default_params : params
 
@@ -49,7 +78,3 @@ val est_charges : unit -> (string * int) list
     covering every candidate the optimizer prices, not just chosen
     plans. Keys are ["cost_est.<formula>.calls"/".sum_us"], shaped for
     [Metrics.register_source]. *)
-
-val reset_est_charges : unit -> unit
-
-val pp_params : Format.formatter -> params -> unit

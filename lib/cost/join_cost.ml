@@ -2,7 +2,7 @@ module Combinat = Mood_util.Combinat
 
 type edge = { cls : string; attr : string; source_in_memory : bool }
 
-type method_choice =
+type method_choice = Io_cost.join_method =
   | Forward_traversal
   | Backward_traversal
   | Binary_join_index
@@ -12,12 +12,6 @@ type method_choice =
   | Grace_hash
   | Sort_merge
   | Fusion_join
-
-let default_join_mem_bytes = 262144
-
-let join_mem_bytes = ref default_join_mem_bytes
-
-let forced_method : method_choice option ref = ref None
 
 let fan stats (e : edge) =
   match Stats.ref_stats stats ~cls:e.cls ~attr:e.attr with
@@ -108,7 +102,7 @@ type value_side = {
 let block_size (params : Io_cost.params) =
   max 1 params.Io_cost.disk.Mood_storage.Disk.block_size
 
-let mem_pages params = max 1 (!join_mem_bytes / block_size params)
+let mem_pages params = max 1 (params.Io_cost.join_mem_bytes / block_size params)
 
 (* Pages this side occupies, scaled by the fraction of the class that
    actually enters the join; a memory-resident temp still pays one
@@ -171,7 +165,7 @@ let grace_hash_cost params stats ~(right : value_side) ~scan_l ~scan_r ~k_l ~k_r
     match side_dist stats right with
     | Some dist ->
         let dup_bytes = k_r /. float_of_int dist *. side_row_bytes stats right in
-        if dup_bytes > float_of_int !join_mem_bytes then
+        if dup_bytes > float_of_int params.Io_cost.join_mem_bytes then
           8. *. (seq_pages params pages_l +. seq_pages params pages_r)
         else 0.
     | None -> 0.
@@ -197,7 +191,7 @@ let fusion_join_cost params ~scan_l ~scan_r ~k_l ~k_r =
 
 let cheapest_value params stats ~(left : value_side) ~(right : value_side)
     ~l_collection =
-  match !forced_method with
+  match params.Io_cost.join_force with
   | Some m -> (m, 0.)
   | None ->
       let k_l = Float.max 0. left.v_rows and k_r = Float.max 0. right.v_rows in

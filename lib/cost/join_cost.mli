@@ -34,7 +34,7 @@ val hash_partition : Io_cost.params -> Stats.t -> edge -> k_c:float -> float
     [alpha = c(|C|*fan, totref, k_c*fan)]. Applicable only when A is a
     Reference constructor (the caller guarantees it). *)
 
-type method_choice =
+type method_choice = Io_cost.join_method =
   | Forward_traversal
   | Backward_traversal
   | Binary_join_index
@@ -44,20 +44,6 @@ type method_choice =
   | Grace_hash       (** Grace partitioned hash join with recursive spill *)
   | Sort_merge       (** external sort-merge with duplicate-key sub-blocks *)
   | Fusion_join      (** Odra-style fusion join over collection attributes *)
-
-val default_join_mem_bytes : int
-(** Default memory budget for value joins: 256 KiB. *)
-
-val join_mem_bytes : int ref
-(** Memory budget (bytes) available to a value join's build/sort space.
-    Below it, hash joins stay in memory; above it, Grace partitioning and
-    external-sort runs spill through the simulated disk. Settable at
-    runtime via [SET JOIN_MEM <bytes>]. *)
-
-val forced_method : method_choice option ref
-(** When [Some m], [cheapest_value] returns [m] unconditionally — the
-    plan-hint escape hatch behind [SET JOIN_FORCE <method>] that the
-    differential join oracle drives. *)
 
 val cheapest :
   Io_cost.params ->
@@ -86,11 +72,12 @@ val cheapest_value :
   l_collection:bool ->
   method_choice * float
 (** The minimum-cost value-join method. Candidates are nested loop, hash
-    join (only when the right side fits [join_mem_bytes]), Grace hash
+    join (only when the right side fits [params.join_mem_bytes]), Grace hash
     (spill passes plus a skew term when the heaviest duplicate group
     overflows the budget) and sort-merge; when [l_collection] (the left
     key is a collection attribute) the hash family is replaced by the
-    fusion join. A [forced_method] short-circuits everything. Ties break
+    fusion join. A [params.join_force] hint ([SET JOIN_FORCE], which
+    the differential join oracle drives) short-circuits everything. Ties break
     nested, hash/fusion, grace, sort-merge. *)
 
 val pp_method : Format.formatter -> method_choice -> unit

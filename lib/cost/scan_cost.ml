@@ -6,9 +6,7 @@
    and an amortized per-row CPU touch — batch loops over unboxed column
    arrays retire rows far cheaper than the interpreter. *)
 
-type choice = Row_scan | Vectorized
-
-let forced : choice option ref = ref None
+type choice = Io_cost.scan_method = Row_scan | Vectorized
 
 (* Per-row CPU discount of the vectorized loop relative to the
    interpreter: tight array loops with compiled predicates. *)
@@ -38,7 +36,7 @@ let vectorized_scan params stats ~cls =
    class can still be vectorized (transient batching) but gains no I/O,
    so only a forced hint selects it there. *)
 let choose params stats ~cls ~pax =
-  match !forced with
+  match params.Io_cost.scan_force with
   | Some Row_scan -> (Row_scan, row_scan params stats ~cls)
   | Some Vectorized -> (Vectorized, vectorized_scan params stats ~cls)
   | None ->

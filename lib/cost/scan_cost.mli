@@ -7,18 +7,10 @@
     discounted for the tight compiled batch loop; the row formula is
     the classic [SEQCOST + rows * CPUCOST]. *)
 
-type choice = Row_scan | Vectorized
-
-val forced : choice option ref
-(** [SET SCAN_FORCE] hint: when set, [choose] returns it regardless of
-    layout or cost. *)
-
-val row_scan : Io_cost.params -> Stats.t -> cls:string -> float
-
-val vectorized_scan : Io_cost.params -> Stats.t -> cls:string -> float
+type choice = Io_cost.scan_method = Row_scan | Vectorized
 
 val choose : Io_cost.params -> Stats.t -> cls:string -> pax:bool -> choice * float
-(** Honors [forced]; otherwise picks the cheaper method for a PAX
+(** Honors the [scan_force] hint; otherwise picks the cheaper method for a PAX
     class and [Row_scan] for a row class (transient batching buys no
     I/O there). *)
 

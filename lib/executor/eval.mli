@@ -12,6 +12,9 @@ type env = {
   catalog : Mood_catalog.Catalog.t;
   funcs : Mood_funcmgr.Function_manager.t;
   scope : Mood_funcmgr.Function_manager.scope;
+  join_mem : int;
+      (** Value-join memory budget (bytes): the database's
+          [Io_cost.params.join_mem_bytes]. *)
 }
 
 type row = (string * Mood_algebra.Collection.item) list

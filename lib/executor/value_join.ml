@@ -39,14 +39,6 @@ let fusion_hits = ref 0
 let hash_builds = ref 0
 let fallbacks = ref 0
 
-let reset_metrics () =
-  partitions_spilled := 0;
-  spill_bytes := 0;
-  merge_passes := 0;
-  fusion_hits := 0;
-  hash_builds := 0;
-  fallbacks := 0
-
 let metrics () =
   [ ("join.partitions_spilled", !partitions_spilled);
     ("join.spill_bytes", !spill_bytes);
@@ -225,7 +217,7 @@ let max_grace_depth = 4
 
 let grace_hash env store pred seen out lefts rights =
   let temps = ref [] in
-  let budget () = max 1 !Join_cost.join_mem_bytes in
+  let budget () = max 1 env.Eval.join_mem in
   (* Entries here are single-key; a row with a collection key appears
      once per distinct element key, possibly in different partitions —
      the global (li, ri) dedup keeps the multiset exact. *)
@@ -270,8 +262,8 @@ let key_cmp (_, _, a) (_, _, b) = String.compare a b
 (* Sorts single-key entries; when the side overflows the budget the
    initial runs spill to temp files and merge back (one extra
    read+write pass, charged through the disk). *)
-let sort_side store temps entries =
-  let budget = max 1 !Join_cost.join_mem_bytes in
+let sort_side env store temps entries =
+  let budget = max 1 env.Eval.join_mem in
   if sum_bytes entries <= budget then Heap.sort_with_runs ~cmp:key_cmp ~run_length:512 entries
   else begin
     incr merge_passes;
@@ -301,8 +293,8 @@ let sort_merge env store pred seen out lefts rights =
   Fun.protect
     ~finally:(fun () -> List.iter (fun hf -> Store.release_temp_file store hf) !temps)
     (fun () ->
-      let la = Array.of_list (sort_side store temps (singles lefts)) in
-      let ra = Array.of_list (sort_side store temps (singles rights)) in
+      let la = Array.of_list (sort_side env store temps (singles lefts)) in
+      let ra = Array.of_list (sort_side env store temps (singles rights)) in
       let nl = Array.length la and nr = Array.length ra in
       let key (_, _, k) = k in
       let li = ref 0 and ri = ref 0 in

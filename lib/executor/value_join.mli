@@ -31,25 +31,14 @@ val run :
     (raises [Invalid_argument] for the pointer methods and
     [Nested_loop], which keep their existing executor paths). Emitted
     rows are [left_row @ right_row], each surviving pair exactly once.
-    The memory budget is [Join_cost.join_mem_bytes]; above it, Grace
+    The memory budget is the env's [join_mem]; above it, Grace
     hash partitions recursively (fanout 2–16, depth ≤ 4, then an
     in-memory fallback) and sort-merge spills its initial runs. *)
-
-val elem_key : Mood_model.Value.t -> string option
-(** Canonical key of one join-key element under [Eval.compare_values]
-    equality: [None] for [Null] (never joins), numerics merged, [Str]
-    and [Char] merged; injective otherwise. Exposed for tests. *)
-
-val keys_of_value : Mood_model.Value.t -> string list
-(** Key set of a join-key value: collection values flatten one level
-    (deduplicated), scalars are singletons, [Null] is empty. *)
 
 val metrics : unit -> (string * int) list
 (** Process-wide [join.*] counters: partitions spilled, spill bytes,
     merge passes, fusion hits, hash builds, in-memory fallbacks —
     shaped for [Metrics.register_source]. *)
-
-val reset_metrics : unit -> unit
 
 val fallbacks : int ref
 (** The [join.fallbacks] counter — also bumped by the executor when a

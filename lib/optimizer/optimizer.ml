@@ -438,7 +438,7 @@ let apply_explicit_join p (left : Classify.side) cmp (right : Classify.side) pre
         (* A forced method (SET JOIN_FORCE) overrides the costed pick on
            this explicit edge too — the oracle drives every algorithm
            through the same queries. *)
-        let method_ = Option.value ~default:method_ !Join_cost.forced_method in
+        let method_ = Option.value ~default:method_ p.env.Dicts.params.Mood_cost.Io_cost.join_force in
         p.cost <- p.cost +. jc;
         let join_pred =
           Ast.Cmp
@@ -797,10 +797,3 @@ let optimize env (q : Ast.query) =
         t_est_cost = !cost_acc
       }
   }
-
-let optimize_statement env = function
-  | Ast.Select q -> Some (optimize env q)
-  | Ast.Create_class _ | Ast.Alter_class_layout _ | Ast.Create_index _
-  | Ast.New_object _ | Ast.Update _ | Ast.Delete _ | Ast.Define_method _
-  | Ast.Drop_method _ | Ast.Name_object _ | Ast.Drop_name _ ->
-      None

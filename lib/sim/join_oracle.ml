@@ -160,45 +160,41 @@ let run_cycle ~seed () =
   done;
   let funcs = Fm.create ~catalog in
   let scope = Fm.enter_scope funcs in
-  let env = { Eval.catalog; funcs; scope } in
-  let saved_mem = !Join_cost.join_mem_bytes in
+  let default_mem = Mood_cost.Io_cost.default_params.Mood_cost.Io_cost.join_mem_bytes in
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
   let violations = ref [] in
-  Fun.protect
-    ~finally:(fun () -> Join_cost.join_mem_bytes := saved_mem)
-    (fun () ->
+  List.iter
+    (fun (name, pred) ->
+      incr queries;
+      (* Half the queries under a tiny budget: the spill paths are
+         part of the contract, not a special case. *)
+      let join_mem = if Prng.bool rng then 256 + Prng.int rng ~bound:2048 else default_mem in
+      let env = { Eval.catalog; funcs; scope; join_mem } in
+      let plan method_ =
+        Plan.Join { left = bind "JoinL" "l"; right = bind "JoinR" "r"; method_; pred }
+      in
+      let oracle =
+        multiset (Executor.run ~mode:Interpreted env (plan Join_cost.Nested_loop))
+      in
+      rows := !rows + List.length oracle;
       List.iter
-        (fun (name, pred) ->
-          incr queries;
-          (* Half the queries under a tiny budget: the spill paths are
-             part of the contract, not a special case. *)
-          Join_cost.join_mem_bytes :=
-            (if Prng.bool rng then 256 + Prng.int rng ~bound:2048 else saved_mem);
-          let plan method_ =
-            Plan.Join { left = bind "JoinL" "l"; right = bind "JoinR" "r"; method_; pred }
-          in
-          let oracle =
-            multiset (Executor.run ~mode:Interpreted env (plan Join_cost.Nested_loop))
-          in
-          rows := !rows + List.length oracle;
-          List.iter
-            (fun m ->
-              incr checks;
-              let got = multiset (Executor.run env (plan m)) in
-              if got <> oracle then
-                violations :=
-                  ( seed,
-                    Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
-                      Join_cost.pp_method m (List.length got) (List.length oracle)
-                      (first_diff got oracle) !Join_cost.join_mem_bytes )
-                  :: !violations)
-            algorithms;
-          if Store.live_temp_files store <> 0 then
+        (fun m ->
+          incr checks;
+          let got = multiset (Executor.run env (plan m)) in
+          if got <> oracle then
             violations :=
               ( seed,
-                Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store) )
+                Format.asprintf "%s via %a: %d rows, oracle %d (%s) [mem=%d]" name
+                  Join_cost.pp_method m (List.length got) (List.length oracle)
+                  (first_diff got oracle) env.Eval.join_mem )
               :: !violations)
-        (variants rng));
+        algorithms;
+      if Store.live_temp_files store <> 0 then
+        violations :=
+          ( seed,
+            Printf.sprintf "%s leaked %d temp files" name (Store.live_temp_files store) )
+          :: !violations)
+    (variants rng);
   { c_queries = !queries; c_checks = !checks; c_rows = !rows; c_violations = List.rev !violations }
 
 let run ?(sabotage = false) ?(quota = 200) ~base_seed () =

@@ -19,7 +19,6 @@ module Value = Mood_model.Value
 module Oid = Mood_model.Oid
 module Executor = Mood_executor.Executor
 module Collection = Mood_algebra.Collection
-module Scan_cost = Mood_cost.Scan_cost
 module Pax = Mood_column.Pax
 module Prng = Mood_util.Prng
 
@@ -154,43 +153,39 @@ let run_cycle ~seed () =
   done;
   let queries = ref 0 and checks = ref 0 and rows = ref 0 in
   let violations = ref [] in
-  let saved = !Scan_cost.forced in
-  Fun.protect
-    ~finally:(fun () -> Scan_cost.forced := saved)
-    (fun () ->
-      List.iter
-        (fun src ->
-          incr queries;
-          (* DML between queries: dirty pages so rebuilds interleave
-             with scans; occasional ANALYZE flips dictionary hints. *)
-          (match Prng.int rng ~bound:4 with
-          | 0 ->
-              ignore
-                (exec db
-                   (Printf.sprintf
-                      "UPDATE ScanC s SET aint = s.aint + 1 WHERE s.dlow = %d"
-                      (zipf rng ~bound:3)))
-          | 1 ->
-              ignore
-                (exec db
-                   (Printf.sprintf "DELETE FROM ScanC s WHERE s.aint = %d"
-                      (zipf rng ~bound:10)))
-          | 2 -> ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
-          | _ -> ());
-          if Prng.int rng ~bound:5 = 0 then Db.analyze db;
-          ignore (exec db "SET SCAN_FORCE ROW");
-          let oracle = multiset (Db.query db src) in
-          rows := !rows + List.length oracle;
-          ignore (exec db "SET SCAN_FORCE VECTOR");
-          incr checks;
-          let got = multiset (Db.query db src) in
-          if got <> oracle then
-            violations :=
-              ( seed,
-                Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
-                  (List.length oracle) (first_diff got oracle) )
-              :: !violations)
-        (variants rng));
+  List.iter
+    (fun src ->
+      incr queries;
+      (* DML between queries: dirty pages so rebuilds interleave
+         with scans; occasional ANALYZE flips dictionary hints. *)
+      (match Prng.int rng ~bound:4 with
+      | 0 ->
+          ignore
+            (exec db
+               (Printf.sprintf
+                  "UPDATE ScanC s SET aint = s.aint + 1 WHERE s.dlow = %d"
+                  (zipf rng ~bound:3)))
+      | 1 ->
+          ignore
+            (exec db
+               (Printf.sprintf "DELETE FROM ScanC s WHERE s.aint = %d"
+                  (zipf rng ~bound:10)))
+      | 2 -> ignore (Catalog.insert_object cat ~class_name:"ScanC" (gen_row rng))
+      | _ -> ());
+      if Prng.int rng ~bound:5 = 0 then Db.analyze db;
+      ignore (exec db "SET SCAN_FORCE ROW");
+      let oracle = multiset (Db.query db src) in
+      rows := !rows + List.length oracle;
+      ignore (exec db "SET SCAN_FORCE VECTOR");
+      incr checks;
+      let got = multiset (Db.query db src) in
+      if got <> oracle then
+        violations :=
+          ( seed,
+            Printf.sprintf "%s: %d rows, oracle %d (%s)" src (List.length got)
+              (List.length oracle) (first_diff got oracle) )
+          :: !violations)
+    (variants rng);
   { c_queries = !queries;
     c_checks = !checks;
     c_rows = !rows;

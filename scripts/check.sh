@@ -86,8 +86,9 @@ grep -q "^stmt.select " /tmp/mood_top.$$ || { echo "STATS: no kernel counters"; 
 rm -f /tmp/mood_top.$$
 # Join engine over the wire: force each algorithm through the SET
 # JOIN_FORCE knob, EXPLAIN ANALYZE the same value equi-join, and pin
-# the operator label plus per-node actuals. The knob is kernel-global,
-# so it is reset to DEFAULT afterwards.
+# the operator label plus per-node actuals. The knob belongs to the
+# server's database and outlives the session, so it is reset to DEFAULT
+# afterwards.
 SPORT="$(cat "$SMOKE_PORT_FILE")"
 for METHOD in HASH_JOIN GRACE_HASH SORT_MERGE FUSION_JOIN NESTED_LOOP; do
   ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$SPORT" \
@@ -112,8 +113,9 @@ grep -Eq "^join\.live_temp_files +0\$" /tmp/mood_join_top.$$ \
 rm -f /tmp/mood_join_top.$$
 # Columnar engine over the wire: create a PAX-layout class, force the
 # vectorized scan, and pin the VSCAN operator with its batch totals in
-# EXPLAIN ANALYZE plus the scan.* counters in STATS. The knob is
-# kernel-global, so it is reset to DEFAULT afterwards.
+# EXPLAIN ANALYZE plus the scan.* counters in STATS. The knob belongs
+# to the server's database and outlives the session, so it is reset to
+# DEFAULT afterwards.
 ./_build/default/bin/mood_cli.exe sql "127.0.0.1:$SPORT" \
   "CREATE CLASS PaxSmoke TUPLE (k Integer, tag String(8)) LAYOUT PAX" > /dev/null
 for K in 1 2 3 4 5 6 7 8; do
@@ -418,5 +420,13 @@ for I in 0 1 2; do
   wait "$SPID" || { echo "shard $I shutdown was not clean"; exit 1; }
 done
 rm -rf "$SHARD_DIR"
+
+echo "== benchmark smoke =="
+# Builds the benchmark (its own dune project under perfbench/) and runs
+# a one-second traced pass of every workload it lists; the run fails if
+# a listed workload fails its read, digest or shutdown checks, so a
+# change that breaks the benchmark's build or its correctness checks
+# fails here rather than at measurement time.
+python3 perfbench/run.py --smoke
 
 echo "== ok =="

@@ -640,17 +640,18 @@ module Disk = Mood_storage.Disk
 module Mtype = Mood_model.Mtype
 module Jplan = Mood_optimizer.Plan
 
-(* The join knobs are process-global: every test that touches them must
-   restore them, or later tests (and the shared plan cache) see stale
-   budgets/forced methods. *)
-let with_join_knobs ?mem f =
-  let m0 = !Join_cost.join_mem_bytes and f0 = !Join_cost.forced_method in
-  Option.iter (fun m -> Join_cost.join_mem_bytes := m) mem;
+(* The join knobs belong to a database: a test that sets them on the
+   shared db must reset them, or later tests see its budget or forced
+   method. *)
+let with_join_knobs d f =
   Fun.protect
     ~finally:(fun () ->
-      Join_cost.join_mem_bytes := m0;
-      Join_cost.forced_method := f0)
+      ignore (Db.exec d "SET JOIN_MEM 262144");
+      ignore (Db.exec d "SET JOIN_FORCE DEFAULT"))
     f
+
+(* A raw executor env carries its own value-join budget. *)
+let with_join_mem env mem f = f { env with Eval.join_mem = mem }
 
 (* A fresh throwaway database (EL/ER classes) so edge-case datasets and
    fault injection never touch the shared db. *)
@@ -661,7 +662,8 @@ let fresh_join_env ~attributes () =
   ignore (Catalog.define_class catalog ~name:"ER" ~attributes ());
   let funcs = Mood_funcmgr.Function_manager.create ~catalog in
   let scope = Mood_funcmgr.Function_manager.enter_scope funcs in
-  ({ Eval.catalog; funcs; scope }, catalog, store)
+  let join_mem = Mood_cost.Io_cost.default_params.Mood_cost.Io_cost.join_mem_bytes in
+  ({ Eval.catalog; funcs; scope; join_mem }, catalog, store)
 
 let vjoin_plan method_ pred =
   let bind class_name var = Jplan.Bind { class_name; var; every = false; minus = [] } in
@@ -726,7 +728,7 @@ let test_grace_spill_crash_recovery () =
   for i = 1 to 120 do row "EL" i done;
   for i = 1 to 120 do row "ER" (i + 1) done;
   let pred = keq "k" "k" in
-  with_join_knobs ~mem:512 (fun () ->
+  with_join_mem env 512 (fun env ->
       let expected = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
       Alcotest.(check bool) "join produced rows" true (expected <> []);
       Alcotest.(check int) "clean run leaves no temps" 0 (Store.live_temp_files store);
@@ -750,7 +752,7 @@ let test_grace_spill_crash_recovery () =
 let test_explain_analyze_hash_join_pin () =
   let d = db () in
   let src = "SELECT v FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size" in
-  with_join_knobs (fun () ->
+  with_join_knobs d (fun () ->
       let _, reports = Db.analyze_query d src in
       let jr = join_report reports in
       Alcotest.(check bool) "hash join chosen" true
@@ -779,7 +781,7 @@ let test_explain_analyze_hash_join_pin () =
 let test_mem_budget_flips_method () =
   let d = db () in
   let src = "SELECT v FROM Vehicle v, VehicleEngine e WHERE v.weight = e.size" in
-  with_join_knobs (fun () ->
+  with_join_knobs d (fun () ->
       let lbl0 = (join_report (snd (Db.analyze_query d src))).Executor.r_label in
       Alcotest.(check bool) "roomy budget: canonical hash" true
         (label_has lbl0 "JOIN[HASH_JOIN]");
@@ -791,6 +793,23 @@ let test_mem_budget_flips_method () =
         (label_has lbl1 "JOIN[HASH_JOIN]");
       Alcotest.(check bool) "tiny budget: spill-aware method chosen" true
         (label_has lbl1 "GRACE_HASH" || label_has lbl1 "SORT_MERGE"))
+
+(* The plan knobs belong to the database they were set on. *)
+let test_knobs_are_per_database () =
+  let a = Db.create () and b = Db.create () in
+  let mem d = List.assoc "join.mem_bytes" (Db.metrics_snapshot d) in
+  (match Db.exec a "SET JOIN_MEM 4096" with Ok _ -> () | Error m -> Alcotest.fail m);
+  Alcotest.(check int) "set on a" 4096 (mem a);
+  Alcotest.(check int) "b keeps the default" 262144 (mem b);
+  let explain d =
+    ignore (Db.exec d "CREATE CLASS Knob TUPLE (x Integer)");
+    match Db.exec d "EXPLAIN SELECT k FROM Knob k" with
+    | Ok (Db.Explained plan) -> plan
+    | _ -> Alcotest.fail "EXPLAIN failed"
+  in
+  (match Db.exec a "SET SCAN_FORCE VECTOR" with Ok _ -> () | Error m -> Alcotest.fail m);
+  Alcotest.(check bool) "a scans vectorized" true (label_has (explain a) "VSCAN");
+  Alcotest.(check bool) "b scans rows" false (label_has (explain b) "VSCAN")
 
 (* Stale stats keep the old plan; ANALYZE flips the join method. *)
 let test_analyze_flips_join_method () =
@@ -808,7 +827,7 @@ let test_analyze_flips_join_method () =
   add "FlipL" 500;
   add "FlipR" 8;
   Db.analyze d;
-  with_join_knobs (fun () ->
+  with_join_knobs d (fun () ->
       (match Db.exec d "SET JOIN_MEM 4096" with
       | Ok _ -> ()
       | Error m -> Alcotest.fail m);
@@ -844,11 +863,10 @@ let test_grace_budget_below_one_partition () =
   for i = 1 to 80 do row "ER" i done;
   let pred = keq "k" "k" in
   let nested =
-    with_join_knobs (fun () ->
-        join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred)))
+    join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred))
   in
   Alcotest.(check int) "cartesian block size" (80 * 80) (List.length nested);
-  with_join_knobs ~mem:256 (fun () ->
+  with_join_mem env 256 (fun env ->
       let spilled0 = List.assoc "join.partitions_spilled" (Value_join.metrics ()) in
       let grace = join_multiset (Executor.run env (vjoin_plan Join_cost.Grace_hash pred)) in
       let spilled1 = List.assoc "join.partitions_spilled" (Value_join.metrics ()) in
@@ -873,10 +891,9 @@ let test_sort_merge_dup_run_over_budget () =
   for i = 1 to 60 do row "ER" i done;
   let pred = keq "k" "k" in
   let nested =
-    with_join_knobs (fun () ->
-        join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred)))
+    join_multiset (Executor.run env (vjoin_plan Join_cost.Nested_loop pred))
   in
-  with_join_knobs ~mem:512 (fun () ->
+  with_join_mem env 512 (fun env ->
       let passes0 = List.assoc "join.merge_passes" (Value_join.metrics ()) in
       let sm = join_multiset (Executor.run env (vjoin_plan Join_cost.Sort_merge pred)) in
       let passes1 = List.assoc "join.merge_passes" (Value_join.metrics ()) in
@@ -974,6 +991,7 @@ let suites =
           test_grace_spill_crash_recovery;
         Alcotest.test_case "explain analyze hash pin" `Quick
           test_explain_analyze_hash_join_pin;
+        Alcotest.test_case "knobs are per database" `Quick test_knobs_are_per_database;
         Alcotest.test_case "memory budget flips method" `Quick
           test_mem_budget_flips_method;
         Alcotest.test_case "ANALYZE flips method" `Quick test_analyze_flips_join_method;

@@ -364,6 +364,200 @@ let test_differential_oracle () =
     oracle_cycle ~seed
   done
 
+(* ------------------------------------------------------------------ *)
+(* B+-tree postings under in-transaction and snapshot-overlapped
+   UPDATEs                                                             *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* 2000 cells with a B+-tree on [id], analyzed so that [c.id = K] is
+   answered by an index selection rather than a scan. *)
+let indexed_cells () =
+  let db = Db.create () in
+  ignore (ok db "CREATE CLASS ICell TUPLE (id Integer, v Integer)");
+  for k = 1 to 2000 do
+    ignore
+      (Db.insert db ~class_name:"ICell"
+         (Value.Tuple [ ("id", Value.Int k); ("v", Value.Int 0) ]))
+  done;
+  ignore (ok db "CREATE INDEX ON ICell (id)");
+  Db.analyze db;
+  (match ok db "EXPLAIN SELECT c.v FROM ICell c WHERE c.id = 42" with
+  | Db.Explained plan ->
+      Alcotest.(check bool) "plan uses the B+-tree" true
+        (contains plan "INDSEL" && contains plan "[B+-tree index]")
+  | _ -> Alcotest.fail "EXPLAIN did not return Explained");
+  db
+
+let cell db k = ints db (Printf.sprintf "SELECT c.v FROM ICell c WHERE c.id = %d" k)
+
+(* An UPDATE inside a session transaction that keeps the indexed key —
+   or changes it and changes it back — must leave the key's posting in
+   place after commit. *)
+let test_index_survives_txn_update () =
+  let db = indexed_cells () in
+  let s = Db.begin_session_txn db in
+  txn_exec db s "UPDATE ICell c SET v = 5 WHERE c.id = 42";
+  txn_exec db s "UPDATE ICell c SET id = 4242 WHERE c.id = 7";
+  txn_exec db s "UPDATE ICell c SET id = 7, v = 9 WHERE c.id = 4242";
+  Db.commit_session_txn db s;
+  Alcotest.(check (list int)) "non-key update: row still indexed" [ 5 ] (cell db 42);
+  Alcotest.(check (list int)) "key changed back: row still indexed" [ 9 ] (cell db 7);
+  Alcotest.(check (list int)) "transient key gone" [] (cell db 4242)
+
+(* The same for an autocommit UPDATE made while another transaction's
+   snapshot is open (the removal is deferred until it closes). *)
+let test_index_survives_update_beside_snapshot () =
+  let db = indexed_cells () in
+  let reader = Db.begin_session_txn db in
+  ignore (ok db "UPDATE ICell c SET v = 6 WHERE c.id = 43");
+  Alcotest.(check (list int)) "reader keeps its snapshot" [ 0 ]
+    (txn_ints db reader "SELECT c.v FROM ICell c WHERE c.id = 43");
+  Db.commit_session_txn db reader;
+  Alcotest.(check (list int)) "row still indexed" [ 6 ] (cell db 43)
+
+(* ------------------------------------------------------------------ *)
+(* One statement pipeline: [exec] and [exec_in_txn] agree              *)
+
+let items () =
+  let db = Db.create () in
+  ignore (ok db "CREATE CLASS Item TUPLE (n Integer)");
+  List.iter (fun i -> ignore (ok db (Printf.sprintf "new Item <%d>" i))) [ 1; 2; 3; 4; 5 ];
+  Db.analyze db;
+  db
+
+let kind_of_result = function
+  | Db.Rows _ -> "rows"
+  | Db.Explained _ -> "explained"
+  | Db.Object_created _ -> "created"
+  | Db.Updated _ -> "updated"
+  | Db.Deleted _ -> "deleted"
+  | Db.Class_created _ -> "class"
+  | Db.Object_named _ -> "named"
+  | Db.Layout_altered _ | Db.Index_created _ | Db.Method_defined _ | Db.Method_dropped _
+  | Db.Name_dropped _ ->
+      "other ddl"
+
+let kind_of_message m =
+  let starts p = String.length m >= String.length p && String.sub m 0 (String.length p) = p in
+  if starts "NOT_PRIMARY: " then "redirect"
+  else if starts "parse error: " then "parse error"
+  else if starts "type error: " then "type error"
+  else if m = "extent is locked by another transaction" then "busy"
+  else "error"
+
+let autocommit_kind db src =
+  match Db.exec db src with Ok r -> kind_of_result r | Error m -> kind_of_message m
+
+let txn_kind db s src =
+  match Db.exec_in_txn db s src with
+  | Ok r -> kind_of_result r
+  | Error (Db.Txn_fail m) -> kind_of_message m
+  | Error (Db.Txn_busy | Db.Txn_deadlock) -> "busy"
+  | Error (Db.Txn_redirect _) -> "redirect"
+
+(* Every statement form through both scopes: same result kind or error
+   class. [sql] gets a per-scope tag for forms that must not collide
+   (a class or a name defined twice). *)
+let test_pipeline_parity () =
+  let forms =
+    [ ("cached SELECT", false, (fun _ -> "SELECT i FROM Item i WHERE i.n > 1"), "rows");
+      ("uncached SELECT", false, (fun tag -> "SELECT i FROM Item i WHERE i.n > " ^ tag), "rows");
+      ("EXPLAIN", false, (fun _ -> "EXPLAIN SELECT i FROM Item i"), "explained");
+      ("EXPLAIN ANALYZE", false, (fun _ -> "EXPLAIN ANALYZE SELECT i FROM Item i"), "explained");
+      ("SET knob", false, (fun _ -> "SET JOIN_MEM 65536"), "explained");
+      ("NEW", false, (fun _ -> "new Item <9>"), "created");
+      ("UPDATE", false, (fun _ -> "UPDATE Item i SET n = 8 WHERE i.n = 9"), "updated");
+      ("DELETE", false, (fun _ -> "DELETE FROM Item i WHERE i.n = 8"), "deleted");
+      ("DDL", false, (fun tag -> "CREATE CLASS Extra" ^ tag ^ " TUPLE (x Integer)"), "class");
+      ( "NAME",
+        false,
+        (fun tag -> "NAME first" ^ tag ^ " AS SELECT i FROM Item i WHERE i.n = 1"),
+        "named" );
+      ("parse error", false, (fun _ -> "SELEKT i FROM Item i"), "parse error");
+      ("type error", false, (fun _ -> "SELECT i FROM Item i WHERE i.nope = 1"), "type error");
+      ("NOT_PRIMARY", true, (fun _ -> "new Item <7>"), "redirect")
+    ]
+  in
+  let db = items () in
+  ignore (ok db "SELECT i FROM Item i WHERE i.n > 1");
+  List.iter
+    (fun (label, replica, sql, expected) ->
+      if replica then Db.set_role db (Db.Replica "10.0.0.1:7000");
+      Alcotest.(check string) (label ^ " via exec") expected (autocommit_kind db (sql "1"));
+      let s = Db.begin_session_txn db in
+      Alcotest.(check string) (label ^ " via exec_in_txn") expected (txn_kind db s (sql "2"));
+      Db.commit_session_txn db s;
+      Db.set_role db Db.Primary)
+    forms;
+  Db.set_role db (Db.Replica "10.0.0.1:7000");
+  Alcotest.(check (result unit string))
+    "NOT_PRIMARY text" (Error "NOT_PRIMARY: this node is read-only; retry at 10.0.0.1:7000")
+    (Result.map ignore (Db.exec db "DELETE FROM Item i WHERE i.n = 1"))
+
+(* The run-total row count of a rendered EXPLAIN ANALYZE. *)
+let analyzed_rows text =
+  match List.find_opt (fun l -> contains l "actual rows: ") (String.split_on_char '\n' text) with
+  | Some line -> Scanf.sscanf line "actual rows: %d" Fun.id
+  | None -> Alcotest.failf "no actual rows in %S" text
+
+(* EXPLAIN ANALYZE inside a transaction reads what the SELECT reads:
+   the BEGIN snapshot, not rows committed since. *)
+let test_explain_analyze_reads_begin_snapshot () =
+  let db = items () in
+  let s = Db.begin_session_txn db in
+  ignore (ok db "new Item <6>");
+  let selected = List.length (txn_ints db s "SELECT i.n FROM Item i") in
+  Alcotest.(check int) "SELECT sees the BEGIN snapshot" 5 selected;
+  (match Db.exec_in_txn db s "EXPLAIN ANALYZE SELECT i.n FROM Item i" with
+  | Ok (Db.Explained text) ->
+      Alcotest.(check int) "EXPLAIN ANALYZE actual rows = SELECT rows" selected
+        (analyzed_rows text)
+  | _ -> Alcotest.fail "in-txn EXPLAIN ANALYZE failed");
+  Db.commit_session_txn db s
+
+(* With snapshot reads on, EXPLAIN ANALYZE beside an open writer runs
+   on a snapshot in both scopes, as the plain SELECT does. *)
+let test_explain_analyze_beside_writer () =
+  let db = items () in
+  let w = Db.begin_session_txn db in
+  txn_exec db w "UPDATE Item i SET n = 50 WHERE i.n = 5";
+  (match Db.exec db "EXPLAIN ANALYZE SELECT i FROM Item i" with
+  | Ok (Db.Explained text) -> Alcotest.(check int) "autocommit actual rows" 5 (analyzed_rows text)
+  | Ok _ -> Alcotest.fail "autocommit EXPLAIN ANALYZE: wrong result"
+  | Error m -> Alcotest.failf "autocommit EXPLAIN ANALYZE: %s" m);
+  let r = Db.begin_session_txn db in
+  (match txn_kind db r "EXPLAIN ANALYZE SELECT i FROM Item i" with
+  | "explained" -> ()
+  | k -> Alcotest.failf "in-txn EXPLAIN ANALYZE returned %s" k);
+  Db.commit_session_txn db r;
+  Db.commit_session_txn db w
+
+(* Every statement feeds the accounting stage, in-transaction DML
+   included. *)
+let test_latency_counts_every_statement () =
+  let db = items () in
+  Db.set_slow_query_threshold db (Some 3600.);
+  let count () =
+    match List.assoc_opt "stmt.latency_s.count" (Db.metrics_snapshot db) with
+    | Some n -> n
+    | None -> 0
+  in
+  let step label f =
+    let before = count () in
+    f ();
+    Alcotest.(check int) label (before + 1) (count ())
+  in
+  step "autocommit SELECT" (fun () -> ignore (ok db "SELECT i FROM Item i"));
+  step "autocommit DML" (fun () -> ignore (ok db "new Item <6>"));
+  let s = Db.begin_session_txn db in
+  step "in-txn SELECT" (fun () -> ignore (txn_ints db s "SELECT i.n FROM Item i"));
+  step "in-txn DML" (fun () -> txn_exec db s "UPDATE Item i SET n = 7 WHERE i.n = 6");
+  Db.commit_session_txn db s
+
 let suites =
   [ ( "mvcc",
       [ Alcotest.test_case "no dirty reads" `Quick test_no_dirty_reads;
@@ -377,6 +571,18 @@ let suites =
         Alcotest.test_case "write skew permitted" `Quick test_write_skew_permitted;
         Alcotest.test_case "gc respects open snapshots" `Quick
           test_gc_respects_open_snapshots;
-        Alcotest.test_case "differential oracle" `Quick test_differential_oracle
+        Alcotest.test_case "differential oracle" `Quick test_differential_oracle;
+        Alcotest.test_case "index survives txn update" `Quick test_index_survives_txn_update;
+        Alcotest.test_case "index survives update beside snapshot" `Quick
+          test_index_survives_update_beside_snapshot
+      ] );
+    ( "pipeline",
+      [ Alcotest.test_case "exec/exec_in_txn parity" `Quick test_pipeline_parity;
+        Alcotest.test_case "EXPLAIN ANALYZE reads BEGIN snapshot" `Quick
+          test_explain_analyze_reads_begin_snapshot;
+        Alcotest.test_case "EXPLAIN ANALYZE beside a writer" `Quick
+          test_explain_analyze_beside_writer;
+        Alcotest.test_case "latency counts every statement" `Quick
+          test_latency_counts_every_statement
       ] )
   ]
