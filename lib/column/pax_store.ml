@@ -4,7 +4,6 @@ module Store = Mood_storage.Store
 module Extent = Mood_storage.Extent
 module Heap_file = Mood_storage.Heap_file
 module Page = Mood_storage.Page
-module Version_store = Mood_storage.Version_store
 module Disk = Mood_storage.Disk
 module M = Scan_metrics
 
@@ -40,9 +39,13 @@ type t = {
   mutable hints : (string * Pax.enc_hint) list;
   mutable rows_per_page : int;
   mutable pages : page_state array;
-  mutable groups : (int * int array) list option;
-      (* memoized [slot_groups] — the page-index partition of the
-         extent's live slots. Any extent mutation resets it. *)
+  mutable groups : int array option array option;
+      (* the page-index partition of the extent's live slots:
+         [groups.(idx)] holds page [idx]'s live slots ascending, or
+         [None] once a write to the page made it stale — the next scan
+         re-probes only that page's slot range. [None] as a whole: the
+         next scan re-partitions the directory (first scan, bulk
+         clear, new hints or schema). *)
   healed : (int * int, unit) Hashtbl.t;
       (* torn frames already consumed by a rebuild: the tear marker
          lives until the buffer pool rewrites the frame, and a rebuilt
@@ -76,13 +79,27 @@ let invalidate_all t =
   Heap_file.clear t.seg;
   Hashtbl.reset t.healed
 
+(* O(1) amortized: an insert into a scanned PAX class must not pay for
+   the page's slot range, let alone the table. *)
+let mark_stale t idx =
+  match t.groups with
+  | None -> ()
+  | Some groups when idx < Array.length groups -> groups.(idx) <- None
+  | Some groups ->
+      (* A page past the partition: every page between held no live
+         slot when it was taken, and no write has touched one since. *)
+      let grown = Array.make (max (idx + 1) (2 * Array.length groups)) (Some [||]) in
+      Array.blit groups 0 grown 0 (Array.length groups);
+      grown.(idx) <- None;
+      t.groups <- Some grown
+
 let on_mutate t = function
   | None ->
       t.groups <- None;
       invalidate_all t
   | Some slot ->
-      t.groups <- None;
       let idx = slot / t.rows_per_page in
+      mark_stale t idx;
       if idx < Array.length t.pages then invalidate_page t idx
 
 let create ~store ~extent ~attrs =
@@ -116,6 +133,7 @@ let hints t = t.hints
 let set_hints t hints =
   if hints <> t.hints then begin
     t.hints <- hints;
+    t.groups <- None;
     invalidate_all t
   end
 
@@ -264,85 +282,89 @@ let batch_of_page t idx slots =
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
 
-let slot_groups t =
-  match t.groups with
-  | Some groups -> groups
-  | None ->
-      let slots = Extent.slots t.extent in
-      let rec group acc cur cur_idx = function
-        | [] ->
-            List.rev
-              (if cur = [] then acc
-               else (cur_idx, Array.of_list (List.rev cur)) :: acc)
-        | slot :: rest ->
-            let idx = slot / t.rows_per_page in
-            if cur = [] || idx = cur_idx then group acc (slot :: cur) idx rest
-            else group ((cur_idx, Array.of_list (List.rev cur)) :: acc) [ slot ] idx rest
-      in
-      let groups = group [] [] 0 slots in
-      t.groups <- Some groups;
-      groups
+(* Page [idx]'s live slots, ascending, probed from the directory. *)
+let probe_page t idx =
+  let rpp = t.rows_per_page in
+  let live = ref [] in
+  for slot = ((idx + 1) * rpp) - 1 downto idx * rpp do
+    if Extent.mem t.extent slot then live := slot :: !live
+  done;
+  Array.of_list !live
 
-(* Per-batch MVCC: batches decode from the heap-mirroring page images;
-   when a snapshot view is open and the version store holds history for
-   this extent's file, every row is resolved against the store and the
-   batch is re-columnarized from the visible values. The fast path —
-   no view, or no history for the file — touches nothing. *)
-let patch_batch t vs view ~file batch =
+let partition t =
+  let groups =
+    match t.groups with
+    | Some groups -> groups
+    | None ->
+        let rpp = t.rows_per_page in
+        Array.make ((Extent.slot_bound t.extent + rpp - 1) / rpp) None
+  in
+  Array.iteri (fun idx g -> if g = None then groups.(idx) <- Some (probe_page t idx)) groups;
+  t.groups <- Some groups;
+  groups
+
+(* The partition's non-empty pages in page order. *)
+let iter_groups t f =
+  Array.iteri
+    (fun idx g ->
+      match g with
+      | Some slots when Array.length slots > 0 -> f idx slots
+      | Some _ | None -> ())
+    (partition t)
+
+(* Per-batch MVCC: batches decode from the heap-mirroring page images,
+   so under a snapshot only the slots the view cannot see need the
+   version store. A batch holding none of them passes through
+   untouched; one that does is re-columnarized with those rows
+   resolved. The diverged set's members the heap no longer holds form
+   a trailing batch. *)
+let patch_batch t d batch =
   let kept = ref [] in
   for i = Array.length batch.Batch.slots - 1 downto 0 do
     let slot = batch.Batch.slots.(i) in
-    match
-      Version_store.read vs view ~file ~slot ~heap:(fun () -> Some (Batch.row_value batch i))
-    with
-    | Some v -> kept := (slot, v) :: !kept
-    | None -> ()
+    match Hashtbl.find_opt d slot with
+    | None -> kept := (slot, Batch.row_value batch i) :: !kept
+    | Some v ->
+        M.m.M.mvcc_patched <- M.m.M.mvcc_patched + 1;
+        Option.iter (fun v -> kept := (slot, v) :: !kept) v
   done;
-  M.m.M.mvcc_patched <- M.m.M.mvcc_patched + batch.Batch.n;
   Batch.of_rows ~attrs:(attr_names t) !kept
 
 let iter_batches t ~f =
-  let file = Heap_file.file_id (Extent.heap t.extent) in
-  let vs = Store.versions t.store in
-  let view =
-    match Version_store.active_view vs with
-    | Some _ when not (Version_store.has_file vs ~file) -> None
-    | v -> v
-  in
-  List.iter
-    (fun (idx, slots) ->
+  let diverged = Extent.diverged t.extent in
+  let touched = Hashtbl.create 8 in
+  Option.iter
+    (Hashtbl.iter (fun slot _ ->
+         if Extent.mem t.extent slot then
+           Hashtbl.replace touched (slot / t.rows_per_page) ()))
+    diverged;
+  iter_groups t (fun idx slots ->
       let batch = batch_of_page t idx slots in
       let batch =
-        match view with
-        | None -> batch
-        | Some view -> patch_batch t vs view ~file batch
+        match diverged with
+        | Some d when Hashtbl.mem touched idx -> patch_batch t d batch
+        | Some _ | None -> batch
       in
       M.m.M.batches <- M.m.M.batches + 1;
-      f batch)
-    (slot_groups t);
-  match view with
-  | None -> ()
-  | Some view -> (
-      match
-        Version_store.hidden_slots vs view ~file ~present:(Extent.mem t.extent)
-      with
-      | [] -> ()
-      | hidden ->
-          M.m.M.batches <- M.m.M.batches + 1;
-          M.m.M.mvcc_patched <- M.m.M.mvcc_patched + List.length hidden;
-          f (Batch.of_rows ~attrs:(attr_names t) hidden))
+      f batch);
+  match Option.map (Extent.hidden_rows t.extent) diverged with
+  | None | Some [] -> ()
+  | Some hidden ->
+      M.m.M.batches <- M.m.M.batches + 1;
+      M.m.M.mvcc_patched <- M.m.M.mvcc_patched + List.length hidden;
+      f (Batch.of_rows ~attrs:(attr_names t) hidden)
 
 let materialize t = iter_batches t ~f:(fun _ -> ())
 
 (* Clean page images and their chunk placement, for the recovery sim
    (byte-identical rebuild) and the torn-page tests. *)
 let page_images t =
-  List.filter_map
-    (fun (idx, slots) ->
+  let out = ref [] in
+  iter_groups t (fun idx _ ->
       match load_image t idx with
-      | Image image -> Some (idx, image)
-      | Missing | Torn -> ignore slots; None)
-    (slot_groups t)
+      | Image image -> out := (idx, image) :: !out
+      | Missing | Torn -> ());
+  List.rev !out
 
 let chunk_rids t =
   List.concat

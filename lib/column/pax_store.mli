@@ -6,7 +6,8 @@
     pool and simulated disk. Pages invalidate through the extent's
     mutation hook and rebuild lazily; corrupt or torn images self-heal
     from the row heap. [iter_batches] applies MVCC snapshot visibility
-    per batch. *)
+    per batch, touching only batches that hold a slot the snapshot
+    cannot see. *)
 
 type t
 
@@ -39,9 +40,11 @@ val rows_per_page : t -> int
 
 val iter_batches : t -> f:(Batch.t -> unit) -> unit
 (** Scan the class batch-at-a-time: decode (building or healing as
-    needed) each PAX page, resolve MVCC visibility, and hand the batch
-    to [f]. Batch rows are in slot order; a trailing batch carries
-    snapshot-visible rows the heap no longer holds. *)
+    needed) each PAX page, resolve the rows the ambient snapshot cannot
+    see in the heap ({!Mood_storage.Extent.diverged}), and hand the
+    batch to [f]. Batch rows are in slot order; a trailing batch
+    carries snapshot-visible rows the heap no longer holds, in slot
+    order. *)
 
 val materialize : t -> unit
 (** Build every page now (bench setup, recovery sim). *)

@@ -14,7 +14,11 @@ type t = {
   mutable batch_cache_hits : int; (** scans served from the decoded-batch cache *)
   mutable pages_healed : int;     (** corrupt/torn pages detected and rebuilt *)
   mutable fallback_rows : int;    (** rows served through the row-engine fallback *)
-  mutable mvcc_patched : int;     (** batch rows resolved against the version store *)
+  mutable mvcc_patched : int;
+      (** rows a snapshot scan resolved against the version store: the
+          batch rows whose heap state the view cannot see, plus the
+          trailing rows the heap no longer holds. A batch without such
+          a slot adds nothing. *)
 }
 
 val m : t

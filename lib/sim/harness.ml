@@ -570,6 +570,8 @@ let pp_report ppf r =
 (* MVCC snapshot cycles                                                *)
 
 module Version_store = Mood_storage.Version_store
+module Pax_store = Mood_column.Pax_store
+module Batch = Mood_column.Batch
 
 type mvcc_outcome = {
   mo_seed : int;
@@ -622,6 +624,12 @@ let run_mvcc_cycle ~seed () =
   let vs = Store.versions store in
   Version_store.set_tracking vs true;
   let table = Table.create ~store () in
+  (* A PAX mirror over the same extent: every snapshot read goes
+     through both the row scan and the columnar batches. *)
+  let pax =
+    Pax_store.create ~store ~extent:(Table.extent table)
+      ~attrs:[ ("data", Mood_model.Mtype.Basic (Mood_model.Mtype.String 32)) ]
+  in
   let model = Model.create () in
   let open_txns : txn_state list ref = ref [] in
   let open_views : Version_store.view list ref = ref [] in
@@ -639,17 +647,37 @@ let run_mvcc_cycle ~seed () =
   let violation fmt =
     Printf.ksprintf (fun m -> violations := m :: !violations) fmt
   in
+  let pax_contents () =
+    let out = ref [] in
+    Pax_store.iter_batches pax ~f:(fun b ->
+        let _, data = b.Batch.columns.(0) in
+        for i = 0 to b.Batch.n - 1 do
+          let cell =
+            match Batch.cell data i with
+            | Mood_model.Value.Str s -> s
+            | v -> Mood_model.Value.to_string v
+          in
+          out := (b.Batch.slots.(i), cell) :: !out
+        done);
+    List.sort compare !out
+  in
   let check_view view =
     incr snapshot_checks;
     let id = Version_store.view_id view in
-    let got = Version_store.with_view vs view (fun () -> Table.contents table) in
+    let rows, columns =
+      Version_store.with_view vs view (fun () ->
+          (Table.contents table, pax_contents ()))
+    in
     match Model.snapshot_expected model id with
     | None -> violation "snapshot %d: oracle lost its expectation" id
     | Some want ->
-        if got <> want then
-          violation "snapshot %d (stamp %d) diverged: read {%s} want {%s}" id
-            (Version_store.view_stamp view)
-            (render_bindings got) (render_bindings want)
+        List.iter
+          (fun (path, got) ->
+            if got <> want then
+              violation "snapshot %d (stamp %d) diverged on the %s path: read {%s} want {%s}"
+                id (Version_store.view_stamp view) path
+                (render_bindings got) (render_bindings want))
+          [ ("row", rows); ("PAX", columns) ]
   in
   let open_view () =
     if List.length !open_views < max_open_snapshots then begin

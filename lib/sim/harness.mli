@@ -110,7 +110,8 @@ val pp_repl_report : Format.formatter -> repl_report -> unit
     writers over the real storage stack) runs with version tracking
     enabled and {e no} disk faults — flushes always survive, so the
     oracle's per-snapshot expectations are exact. The workload opens
-    up to four concurrent snapshots, re-reads each against
+    up to four concurrent snapshots, re-reads each — through the row
+    scan and through a PAX mirror of the same extent — against
     {!Model.snapshot_expected} while commits, aborts, checkpoints and
     explicit GC runs happen around it (repeatable read, no dirty
     reads, GC never eats a chain a live snapshot needs), then crashes
@@ -118,20 +119,6 @@ val pp_repl_report : Format.formatter -> repl_report -> unit
     bindings, and a snapshot opened on the recovered store must read
     exactly that state — and keep reading it across a post-recovery
     committed write (version chains rebuild consistently). *)
-
-type mvcc_outcome = {
-  mo_seed : int;
-  mo_crash_point : string;
-  mo_violations : string list;  (** [] = every snapshot read agreed *)
-  mo_steps : int;
-  mo_commits : int;
-  mo_aborts : int;
-  mo_deadlocks : int;
-  mo_snapshots : int;           (** snapshots opened *)
-  mo_snapshot_checks : int;     (** snapshot reads compared to the oracle *)
-  mo_gc_runs : int;
-  mo_checkpoints : int;
-}
 
 type mvcc_report = {
   mr_cycles : int;
@@ -145,8 +132,6 @@ type mvcc_report = {
   mr_checkpoints : int;
   mr_violations : (int * string) list;  (** seed, message (crash point inline) *)
 }
-
-val run_mvcc_cycle : seed:int -> unit -> mvcc_outcome
 
 val run_mvcc : ?quota:int -> base_seed:int -> unit -> mvcc_report
 (** [quota] cycles (default 200) under seeds [base_seed],

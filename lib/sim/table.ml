@@ -28,8 +28,13 @@ let create ~store () =
 
 let store t = t.store
 
+let extent t = t.ext
+
+(* A row is a one-attribute tuple, so a PAX mirror can columnarize it. *)
+let value_of_data data = Value.Tuple [ ("data", Value.Str data) ]
+
 let data_of_value = function
-  | Value.Str s -> s
+  | Value.Tuple [ ("data", Value.Str s) ] -> s
   | v -> failwith ("Sim.Table: non-string payload " ^ Value.to_string v)
 
 (* Extent payloads are codec-encoded [Tuple [("#slot", Int s); ("#value", v)]]. *)
@@ -49,7 +54,7 @@ let index_delete t ~key ~data =
 let get t key = Option.map data_of_value (Extent.get t.ext key)
 
 let insert t ~txn ~key ~data =
-  Extent.insert_at t.ext ~txn ~slot:key (Value.Str data);
+  Extent.insert_at t.ext ~txn ~slot:key (value_of_data data);
   index_insert t ~key ~data
 
 let update t ~txn ~key ~data =
@@ -58,7 +63,7 @@ let update t ~txn ~key ~data =
     | Some d -> d
     | None -> failwith "Sim.Table.update: missing key"
   in
-  ignore (Extent.update t.ext ~txn ~slot:key (Value.Str data));
+  ignore (Extent.update t.ext ~txn ~slot:key (value_of_data data));
   ignore (Hash_index.delete t.data_index ~key:(Value.Str before) (fun p -> p = key));
   Hash_index.insert t.data_index ~key:(Value.Str data) key
 

@@ -20,6 +20,11 @@ val store : t -> Mood_storage.Store.t
 (** The store the table lives in — the MVCC harness reaches its
     version store through this (a recovered table builds a fresh one). *)
 
+val extent : t -> Mood_storage.Extent.t
+(** The extent the table lives in, for derived mirrors (the MVCC
+    harness scans it through a PAX segment too). Rows are the tuples
+    [<data: String>]. *)
+
 val insert : t -> txn:int -> key:int -> data:string -> unit
 (** Raises [Invalid_argument] when the key is live. *)
 

@@ -149,33 +149,42 @@ let delete t ?txn slot =
       end;
       ok
 
+(* The snapshot slots a whole-extent read must resolve, [None] when the
+   raw heap is the view (no view installed, or nothing diverged). *)
+let diverged t =
+  let vs = versions t in
+  match Version_store.active_view vs with
+  | None -> None
+  | Some _ when Version_store.is_empty vs -> None
+  | Some view ->
+      let d = Version_store.diverged vs view ~file:(Heap_file.file_id t.file) in
+      if Hashtbl.length d = 0 then None else Some d
+
+let hidden_rows t d =
+  Hashtbl.fold
+    (fun slot v acc ->
+      match v with
+      | Some v when not (Hashtbl.mem t.directory slot) -> (slot, v) :: acc
+      | Some _ | None -> acc)
+    d []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let scan t ~f =
-  let view =
-    match Version_store.active_view (versions t) with
-    | Some _
-      when not (Version_store.has_file (versions t) ~file:(Heap_file.file_id t.file))
-      ->
-        None
-    | v -> v
-  in
-  match view with
+  match diverged t with
   | None ->
       Heap_file.scan t.file ~f:(fun _rid payload ->
           let slot, value = decode payload in
           f slot value)
-  | Some view ->
-      let vs = versions t in
-      let file = Heap_file.file_id t.file in
+  | Some d ->
       Heap_file.scan t.file ~f:(fun _rid payload ->
           let slot, value = decode payload in
-          match Version_store.read vs view ~file ~slot ~heap:(fun () -> Some value) with
-          | Some v -> f slot v
-          | None -> ());
+          match Hashtbl.find_opt d slot with
+          | None -> f slot value
+          | Some (Some v) -> f slot v
+          | Some None -> ());
       (* Slots the snapshot can still see but the heap no longer holds
          (committed deletes since the snapshot opened). *)
-      List.iter
-        (fun (slot, v) -> f slot v)
-        (Version_store.hidden_slots vs view ~file ~present:(Hashtbl.mem t.directory))
+      List.iter (fun (slot, v) -> f slot v) (hidden_rows t d)
 
 let fold t ~init ~f =
   let acc = ref init in
@@ -187,6 +196,8 @@ let slots t =
   |> List.sort Int.compare
 
 let count t = Hashtbl.length t.directory
+
+let slot_bound t = t.next_slot
 
 let page_count t = Heap_file.page_count t.file
 

@@ -42,7 +42,19 @@ val update : t -> ?txn:int -> slot:int -> Mood_model.Value.t -> bool
 val delete : t -> ?txn:int -> int -> bool
 
 val scan : t -> f:(int -> Mood_model.Value.t -> unit) -> unit
-(** Sequential scan in storage order. *)
+(** Sequential scan in storage order, resolved through the ambient
+    snapshot view when one is installed; rows the view sees but the
+    heap no longer holds follow, in slot order. *)
+
+val diverged : t -> (int, Mood_model.Value.t option) Hashtbl.t option
+(** {!Version_store.diverged} for this extent under the
+    ambient view; [None] when the raw heap is the view. *)
+
+val hidden_rows :
+  t -> (int, Mood_model.Value.t option) Hashtbl.t -> (int * Mood_model.Value.t) list
+(** The members of a diverged set the heap directory no longer holds
+    but the view still sees, ascending by slot — the rows a snapshot
+    scan appends after the heap. *)
 
 val fold : t -> init:'a -> f:('a -> int -> Mood_model.Value.t -> 'a) -> 'a
 
@@ -51,6 +63,10 @@ val slots : t -> int list
     is memory-resident, as extent directories are in ESM). *)
 
 val count : t -> int
+
+val slot_bound : t -> int
+(** One past the highest slot ever allocated since the last [clear]:
+    every live slot is below it. *)
 
 val page_count : t -> int
 

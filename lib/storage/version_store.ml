@@ -19,11 +19,9 @@ type entry = {
 type view = {
   v_id : int;
   v_stamp : int;
+      (** visibility needs only the stamp: commits after the capture
+          always receive stamps greater than it *)
   v_txn : int option;  (** reads see this transaction's own pending writes *)
-  v_inflight : int list;
-      (** write transactions open at capture — recorded for diagnostics;
-          visibility needs only [v_stamp] because commits after the
-          capture always receive stamps greater than it *)
 }
 
 type t = {
@@ -86,18 +84,6 @@ let current_stamp t = t.stamp
    scan/lookup, it spares snapshot readers the per-record resolution
    whenever no versioned history exists. *)
 let is_empty t = Hashtbl.length t.table = 0
-
-(* Per-file refinement of the same invariant, for whole-extent scans:
-   no entry for [file] means no slot of that file has diverged from
-   any live view. O(live entries), paid once per scan instead of a
-   resolution per record. *)
-exception Found_file
-
-let has_file t ~file =
-  try
-    Hashtbl.iter (fun (f, _) _ -> if f = file then raise Found_file) t.table;
-    false
-  with Found_file -> true
 
 let bump_stamp t lsn = if lsn > t.stamp then t.stamp <- lsn
 
@@ -276,13 +262,7 @@ let abort t ~txn =
 let open_snapshot t ?txn () =
   let id = t.next_snapshot in
   t.next_snapshot <- id + 1;
-  let v =
-    { v_id = id;
-      v_stamp = t.stamp;
-      v_txn = txn;
-      v_inflight = Hashtbl.fold (fun tx _ acc -> tx :: acc) t.by_txn []
-    }
-  in
+  let v = { v_id = id; v_stamp = t.stamp; v_txn = txn } in
   Hashtbl.replace t.snapshots id v.v_stamp;
   t.last_snapshot_stamp <- v.v_stamp;
   v
@@ -292,8 +272,6 @@ let close_snapshot t v = Hashtbl.remove t.snapshots v.v_id
 let view_id v = v.v_id
 
 let view_stamp v = v.v_stamp
-
-let view_inflight v = v.v_inflight
 
 let active_view t = t.view
 
@@ -317,15 +295,18 @@ let read t view ~file ~slot ~heap =
   | None -> heap ()
   | Some e -> if visible_cur view e.cur then heap () else walk_older view e.older
 
-let hidden_slots t view ~file ~present =
-  Hashtbl.fold
-    (fun (f, slot) e acc ->
-      if f = file && not (present slot) && not (visible_cur view e.cur) then
-        match walk_older view e.older with
-        | Some v -> (slot, v) :: acc
-        | None -> acc
-      else acc)
-    t.table []
+(* The per-scan form of [read]: by the GC invariant every slot of
+   [file] without an entry, or whose current stamp the view sees, reads
+   as the heap, so a scan needs only the rest — resolved here once,
+   then probed by slot. O(live entries), paid once per scan. *)
+let diverged t view ~file =
+  let out = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun (f, slot) e ->
+      if f = file && not (visible_cur view e.cur) then
+        Hashtbl.replace out slot (walk_older view e.older))
+    t.table;
+  out
 
 let defer_removal t ?txn f =
   if not t.tracking then f ()

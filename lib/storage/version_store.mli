@@ -44,11 +44,6 @@ val is_empty : t -> bool
     the heap (GC keeps an entry alive while any live snapshot still
     needs its chain), so readers may skip per-record resolution. *)
 
-val has_file : t -> file:int -> bool
-(** Any versioned history for this heap file? [false] lets a scan take
-    the raw heap path under an open view — same invariant as
-    {!is_empty}, refined per file. *)
-
 val bump_stamp : t -> int -> unit
 (** Raises the clock to at least the argument (replica bootstrap sets
     it to the snapshot LSN). Never lowers it. *)
@@ -80,17 +75,15 @@ val abort : t -> txn:int -> unit
     [without_tracking]) and drops its deferred index removals. *)
 
 val open_snapshot : t -> ?txn:int -> unit -> view
-(** Captures the clock and the in-flight writer table. [txn] makes the
-    view read its own uncommitted writes. Registers the snapshot so GC
-    keeps every version it can still see. *)
+(** Captures the clock. [txn] makes the view read its own uncommitted
+    writes. Registers the snapshot so GC keeps every version it can
+    still see. *)
 
 val close_snapshot : t -> view -> unit
 
 val view_id : view -> int
 
 val view_stamp : view -> int
-
-val view_inflight : view -> int list
 
 val active_view : t -> view option
 
@@ -109,11 +102,15 @@ val read : t -> view -> file:int -> slot:int ->
     Must be consulted even when the slot directory misses — a committed
     delete leaves history only the chain remembers. *)
 
-val hidden_slots : t -> view -> file:int -> present:(int -> bool) ->
-  (int * Mood_model.Value.t) list
-(** Slots of [file] that are invisible (or absent) in the current heap
-    but hold a chained version visible to [view] — a snapshot scan
-    appends these to the directory scan. *)
+val diverged : t -> view -> file:int -> (int, Mood_model.Value.t option) Hashtbl.t
+(** The slots of [file] whose current heap state [view] cannot see,
+    each mapped to the version it can ([None] = the slot did not exist
+    at the snapshot). Every other slot reads as the heap — the
+    {!is_empty} invariant, refined per slot — so a scan resolves this
+    set once and probes it per record: an empty set means the raw heap
+    is the view. A member the heap directory no longer holds, mapped
+    to a version, is a row deleted since the snapshot that the view
+    still sees. *)
 
 val defer_removal : t -> ?txn:int -> (unit -> unit) -> unit
 (** Queues an index-posting removal so snapshot readers can still find

@@ -361,6 +361,7 @@ let read_str s pos =
   pos := !pos + len;
   v
 
+(* Decodes one record starting at [!pos] and advances the cursor past it. *)
 let decode_record_at s pos =
   if !pos >= String.length s then raise (Codec_error "empty record");
   let tag = s.[!pos] in

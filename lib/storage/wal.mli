@@ -190,6 +190,3 @@ val encode_record : record -> string
 val decode_record : string -> record
 (** Inverse of [encode_record]; rejects trailing bytes. *)
 
-val decode_record_at : string -> int ref -> record
-(** Decodes one record starting at [!pos] and advances the cursor past
-    it — the building block for reading a concatenated record batch. *)

@@ -318,6 +318,144 @@ let test_oracle_catches_sabotage () =
   Alcotest.(check bool) "sabotaged null bitmap caught" true
     (r.Scan_oracle.sr_violations <> [])
 
+(* ------------------------------------------------------------------ *)
+(* Snapshot scans beside a writer, per-page slot partition             *)
+
+module Executor = Mood_executor.Executor
+module Extent = Mood_storage.Extent
+
+let rendered r = List.sort compare (List.map Value.to_string (Executor.result_values r))
+
+(* The same statement under the vectorized and the row engine. *)
+let both_engines db run =
+  let forced mode =
+    ignore (ok db ("SET SCAN_FORCE " ^ mode));
+    let b0 = Scan_metrics.m.Scan_metrics.batches in
+    let rows = run () in
+    (rows, Scan_metrics.m.Scan_metrics.batches - b0)
+  in
+  let vector, batches = forced "VECTOR" in
+  let row, _ = forced "ROW" in
+  ignore (ok db "SET SCAN_FORCE DEFAULT");
+  Alcotest.(check bool) "VECTOR ran batches" true (batches > 0);
+  (vector, row)
+
+let scan_all = "SELECT p.k, p.name FROM Snap p WHERE p.k > 0"
+
+(* A PAX class of three and a half pages; [k] is insertion order, so
+   row [k] sits in slot [k - 1]. *)
+let snap_db () =
+  let db = Db.create () in
+  ignore (ok db "CREATE CLASS Snap TUPLE (k Integer, name String(16)) LAYOUT PAX");
+  let ps =
+    match Catalog.pax_store (Db.catalog db) "Snap" with
+    | Some ps -> ps
+    | None -> Alcotest.fail "PAX class has no segment"
+  in
+  let rpp = Pax_store.rows_per_page ps in
+  for k = 1 to (3 * rpp) + (rpp / 2) do
+    ignore (ok db (Printf.sprintf "new Snap <%d, 'n%d'>" k k))
+  done;
+  (db, rpp)
+
+let in_txn db s q =
+  match Db.exec_in_txn db s q with
+  | Ok (Db.Rows r) -> rendered r
+  | Ok _ -> Alcotest.failf "%S: not a row result" q
+  | Error _ -> Alcotest.failf "%S failed in a transaction" q
+
+let txn_ok db s q =
+  match Db.exec_in_txn db s q with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.failf "%S failed in a transaction" q
+
+(* Session A's snapshot must keep reading its capture state through
+   both engines while session B commits an insert into the tail page
+   and an update and a delete in a middle page, then leaves an insert
+   and an update pending. Only the slots A cannot see are resolved
+   against the version store, not whole pages. *)
+let test_snapshot_beside_writer () =
+  let db, rpp = snap_db () in
+  let before = rendered (Db.query db scan_all) in
+  let a = Db.begin_session_txn db in
+  ignore (in_txn db a scan_all);
+  let b1 = Db.begin_session_txn db in
+  txn_ok db b1 "new Snap <100000, 'tail'>";
+  txn_ok db b1 (Printf.sprintf "UPDATE Snap p SET name = 'upd' WHERE p.k = %d" (rpp + 5));
+  txn_ok db b1 (Printf.sprintf "DELETE FROM Snap p WHERE p.k = %d" (rpp + 9));
+  Db.commit_session_txn db b1;
+  let b2 = Db.begin_session_txn db in
+  txn_ok db b2 "new Snap <200000, 'pending'>";
+  txn_ok db b2 "UPDATE Snap p SET name = 'dirty' WHERE p.k = 3";
+  let patched0 = Scan_metrics.m.Scan_metrics.mvcc_patched in
+  let vector, row = both_engines db (fun () -> in_txn db a scan_all) in
+  Alcotest.(check (list string)) "VECTOR under A = state before B" before vector;
+  Alcotest.(check (list string)) "ROW under A = state before B" before row;
+  (* Pages 0 (pending update), 1 (update, delete) and 3 (both inserts)
+     diverge from A's view; the VECTOR scan ran once. *)
+  let patched = Scan_metrics.m.Scan_metrics.mvcc_patched - patched0 in
+  Alcotest.(check bool) "patched the diverged slots" true (patched > 0);
+  Alcotest.(check bool) "patched fewer than a page per diverged page" true
+    (patched < 3 * rpp);
+  let render k name =
+    Value.to_string (Value.Tuple [ ("p.k", Value.Int k); ("p.name", Value.Str name) ])
+  in
+  let committed =
+    List.sort compare
+      (render 100000 "tail"
+      :: List.filter_map
+           (fun r ->
+             if r = render (rpp + 9) (Printf.sprintf "n%d" (rpp + 9)) then None
+             else if r = render (rpp + 5) (Printf.sprintf "n%d" (rpp + 5)) then
+               Some (render (rpp + 5) "upd")
+             else Some r)
+           before)
+  in
+  let vector, row = both_engines db (fun () -> rendered (Db.query db scan_all)) in
+  Alcotest.(check (list string)) "fresh snapshot (VECTOR) sees B's commits only" committed vector;
+  Alcotest.(check (list string)) "fresh snapshot (ROW) sees B's commits only" committed row;
+  Db.abort_session_txn db b2;
+  Db.commit_session_txn db a
+
+(* After a warm scan, writes re-partition only the pages they touch;
+   the vectorized scan must keep agreeing with the row scan. *)
+let test_slot_partition_per_page () =
+  let db, rpp = snap_db () in
+  let ext = Catalog.own_extent (Db.catalog db) "Snap" in
+  let agree label =
+    let vector, row = both_engines db (fun () -> rendered (Db.query db scan_all)) in
+    Alcotest.(check (list string)) label row vector;
+    List.length row
+  in
+  let n0 = agree "warm scan" in
+  (* Fill the tail page and spill into the next one, then jump pages
+     ahead of the last. *)
+  let next = ref 1_000 in
+  let fresh () =
+    incr next;
+    ignore (ok db (Printf.sprintf "new Snap <%d, 'x'>" !next))
+  in
+  while Extent.slot_bound ext <= 4 * rpp do
+    fresh ()
+  done;
+  let n1 = agree "insert into a page beyond the last" in
+  Alcotest.(check int) "inserted rows counted" (n0 + !next - 1_000) n1;
+  let far = Value.Tuple [ ("k", Value.Int 9_999); ("name", Value.Str "far") ] in
+  Extent.insert_at ext ~slot:((7 * rpp) + 3) far;
+  Alcotest.(check int) "row far beyond the last page" (n1 + 1) (agree "far page");
+  ignore
+    (ok db (Printf.sprintf "DELETE FROM Snap p WHERE p.k > %d AND p.k <= %d" rpp (2 * rpp)));
+  let n2 = agree "delete every row of a middle page" in
+  Alcotest.(check int) "middle page emptied" (n1 + 1 - rpp) n2;
+  let reused = Value.Tuple [ ("k", Value.Int 7_777); ("name", Value.Str "reused") ] in
+  Extent.insert_at ext ~slot:(rpp + 3) reused;
+  Alcotest.(check int) "freed slot reused" (n2 + 1) (agree "reuse a freed slot");
+  fresh ();
+  ignore (agree "insert, scan");
+  fresh ();
+  Alcotest.(check int) "insert again into the same page" (n2 + 3)
+    (agree "insert again into the same page")
+
 let suites =
   [ ( "column",
       [ Alcotest.test_case "codec round-trip fuzz" `Quick test_codec_roundtrip_fuzz;
@@ -328,6 +466,8 @@ let suites =
         Alcotest.test_case "analyze dict chooser" `Quick test_dict_chooser;
         Alcotest.test_case "pax end to end" `Quick test_pax_end_to_end;
         Alcotest.test_case "differential oracle" `Quick test_differential_oracle;
-        Alcotest.test_case "oracle catches sabotage" `Quick test_oracle_catches_sabotage
+        Alcotest.test_case "oracle catches sabotage" `Quick test_oracle_catches_sabotage;
+        Alcotest.test_case "snapshot beside a writer" `Quick test_snapshot_beside_writer;
+        Alcotest.test_case "slot partition per page" `Quick test_slot_partition_per_page
       ] )
   ]
